@@ -17,7 +17,6 @@ from .subtyping import (
     enumerate_ground,
     export_graph,
     ground_graph,
-    is_interval,
     is_subtype,
 )
 from .syntax import (
@@ -65,7 +64,6 @@ __all__ = [
     "export_graph",
     "ground_graph",
     "is_admittable",
-    "is_interval",
     "is_subtype",
     "parse_program",
     "parse_type",

@@ -17,7 +17,7 @@ contains it, so no finite argument can ever satisfy the class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DfbError
 from .syntax import (
@@ -41,7 +41,11 @@ class DuplicateClass(DfbError):
         self.name = name
 
 
-class UnknownClass(DfbError):
+class IllFormedType(DfbError):
+    """A type expression with an unknown head, a wrong arity or a stray variable."""
+
+
+class UnknownClass(IllFormedType):
     def __init__(self, name: str, site: str = ""):
         where = f" in {site}" if site else ""
         super().__init__(f"unknown class {name}{where}")
@@ -49,7 +53,7 @@ class UnknownClass(DfbError):
         self.site = site
 
 
-class ArityMismatch(DfbError):
+class ArityMismatch(IllFormedType):
     def __init__(self, name: str, expected: int, got: int, site: str = ""):
         where = f" in {site}" if site else ""
         super().__init__(
@@ -68,7 +72,7 @@ class CircularInheritance(DfbError):
         self.cycle = cycle
 
 
-class UnboundVariable(DfbError):
+class UnboundVariable(IllFormedType):
     def __init__(self, name: str, site: str = ""):
         where = f" in {site}" if site else ""
         super().__init__(f"unbound type variable {name}{where}")
@@ -151,23 +155,30 @@ def _site(decl: ClassDecl, detail: str) -> str:
     return where
 
 
-def _check_expr(
+def require_well_formed(
+    table: ClassTable,
     expr: TypeExpr,
-    scope: frozenset[str],
-    arities: dict[str, int],
-    site: str,
+    scope: frozenset[str] = frozenset(),
+    site: str = "",
 ) -> None:
+    """Raise unless every head in ``expr`` is a known class at its arity
+    and every variable is in ``scope``.
+
+    The default empty scope demands a ground type, as queries do; a
+    declaration passes its own parameters. ``site`` names the place in
+    the source for the error message.
+    """
     if isinstance(expr, Var):
         if expr.name not in scope:
             raise UnboundVariable(expr.name, site)
         return
-    if expr.name not in arities:
+    info = table.infos.get(expr.name)
+    if info is None:
         raise UnknownClass(expr.name, site)
-    expected = arities[expr.name]
-    if len(expr.args) != expected:
-        raise ArityMismatch(expr.name, expected, len(expr.args), site)
+    if len(expr.args) != info.arity:
+        raise ArityMismatch(expr.name, info.arity, len(expr.args), site)
     for arg in expr.args:
-        _check_expr(arg, scope, arities, site)
+        require_well_formed(table, arg, scope, site)
 
 
 def build_table(program: Program) -> ClassTable:
@@ -183,37 +194,35 @@ def build_table(program: Program) -> ClassTable:
             raise DuplicateClass(decl.name)
         decls[decl.name] = decl
 
-    arities = {name: len(decl.params) for name, decl in decls.items()}
-    arities["Object"] = 0
-    arities["Null"] = 0
-
     infos: dict[str, ClassInfo] = {"Object": _OBJECT_INFO, "Null": _NULL_INFO}
-    warnings: list[Diagnostic] = []
-
     for name, decl in decls.items():
-        scope = frozenset(p.name for p in decl.params)
-        lowers: list[TypeExpr] = []
-        uppers: list[TypeExpr] = []
-        for param in decl.params:
-            lower = param.lower if param.lower is not None else NULL
-            upper = param.upper if param.upper is not None else OBJECT
-            _check_expr(lower, scope, arities,
-                        _site(decl, f"lower bound of {param.name}"))
-            _check_expr(upper, scope, arities,
-                        _site(decl, f"upper bound of {param.name}"))
-            lowers.append(lower)
-            uppers.append(upper)
+        infos[name] = ClassInfo(
+            name,
+            tuple(p.name for p in decl.params),
+            tuple(NULL if p.lower is None else p.lower for p in decl.params),
+            tuple(OBJECT if p.upper is None else p.upper for p in decl.params),
+            OBJECT if decl.extends_clause is None else decl.extends_clause,
+        )
+    table = ClassTable(infos)
+
+    warnings: list[Diagnostic] = []
+    for name, decl in decls.items():
+        info = infos[name]
+        scope = frozenset(info.param_names)
+        for pname, lower, upper in zip(info.param_names, info.lowers, info.uppers):
+            require_well_formed(table, lower, scope,
+                                _site(decl, f"lower bound of {pname}"))
+            require_well_formed(table, upper, scope,
+                                _site(decl, f"upper bound of {pname}"))
             if (lower == upper and isinstance(lower, App)
-                    and _mentions(lower, param.name)):
+                    and _mentions(lower, pname)):
                 warnings.append(Diagnostic(
                     "warning", name,
                     f"useless declaration: no finite type argument can satisfy "
-                    f"{param.name}, whose lower and upper bounds are both "
+                    f"{pname}, whose lower and upper bounds are both "
                     f"{render(lower)}"))
 
-        extends_clause = decl.extends_clause
-        if extends_clause is None:
-            extends_clause = OBJECT
+        extends_clause = info.extends_clause
         if isinstance(extends_clause, Var):
             raise InvalidExtends(
                 f"{_site(decl, 'extends clause')}: a type variable cannot "
@@ -221,14 +230,8 @@ def build_table(program: Program) -> ClassTable:
         if extends_clause.name == "Null":
             raise InvalidExtends(
                 f"{_site(decl, 'extends clause')}: Null cannot be extended")
-        _check_expr(extends_clause, scope, arities, _site(decl, "extends clause"))
-        infos[name] = ClassInfo(
-            name,
-            tuple(p.name for p in decl.params),
-            tuple(lowers),
-            tuple(uppers),
-            extends_clause,
-        )
+        require_well_formed(table, extends_clause, scope,
+                            _site(decl, "extends clause"))
 
     _check_acyclic(decls, infos)
     warnings.sort(key=lambda d: (d.class_name, d.message))

@@ -15,6 +15,10 @@ class DfbError(Exception):
     """Base class for all input-level errors raised by this package."""
 
 
+class InvalidValue(DfbError, ValueError):
+    """A flag or file value outside the range its consumer accepts."""
+
+
 @dataclass
 class ParseError(DfbError):
     """Rejected source text, with the position of the offending token.

@@ -19,7 +19,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .errors import DfbError
+from .errors import DfbError, InvalidValue
 
 MAX_ELEMENTS = 64
 
@@ -84,7 +84,6 @@ class FinitePoset:
 def make_poset(
     elements: list[str] | tuple[str, ...],
     covers: list[tuple[str, str]] | tuple[tuple[str, str], ...],
-    max_elements: int = MAX_ELEMENTS,
 ) -> FinitePoset:
     """Close a cover relation into a poset.
 
@@ -95,10 +94,10 @@ def make_poset(
     """
     elements = tuple(elements)
     if len(elements) != len(set(elements)):
-        raise ValueError("duplicate element labels")
-    if len(elements) > max_elements:
-        raise ValueError(
-            f"carrier too large: {len(elements)} elements, cap is {max_elements}"
+        raise InvalidValue("duplicate element labels")
+    if len(elements) > MAX_ELEMENTS:
+        raise InvalidValue(
+            f"carrier too large: {len(elements)} elements, cap is {MAX_ELEMENTS}"
         )
     succ: dict[str, set[str]] = {x: set() for x in elements}
     for a, b in covers:
@@ -283,6 +282,8 @@ def random_poset(seed: int, max_size: int = 8) -> FinitePoset:
     Samples a DAG over a linearly ordered carrier with a per-draw edge
     density, then closes it; the same seed always yields the same poset.
     """
+    if max_size < 1:
+        raise InvalidValue(f"the maximum size must be at least 1, got {max_size}")
     rng = random.Random(seed)
     n = rng.randint(1, max_size)
     elements = tuple(f"p{i}" for i in range(n))

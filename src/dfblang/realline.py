@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import DfbError, ParseError
+from .errors import DfbError, InvalidValue, ParseError
 
 
 class SelfReferenceInBody(DfbError):
@@ -364,9 +364,9 @@ def real_domain(
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise EmptyWindow(f"window [{lo}, {hi}] contains no interval")
     if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
+        raise InvalidValue(f"the grid needs at least 2 samples, got {grid_n}")
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidValue(f"the tolerance must be positive, got {tol}")
 
     skipped: list[SkippedSample] = []
 
@@ -396,10 +396,13 @@ def real_domain(
 
     def refine(a: float, b: float) -> float:
         # pred differs at a and b; shrink the bracket until it is well
-        # inside the tolerance and answer its midpoint.
+        # inside the tolerance, or until no float lies strictly between
+        # a and b, and answer its midpoint.
         pa = predicate(a)
         while b - a > tol / 2:
             mid = (a + b) / 2
+            if not a < mid < b:
+                break
             if predicate(mid) == pa:
                 a = mid
             else:

@@ -18,41 +18,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from .classtable import ClassTable, superclass_of
-from .errors import DfbError
-from .syntax import App, NULL, OBJECT, TypeExpr, Var, render
-
-
-class IllFormedType(DfbError):
-    def __init__(self, t: TypeExpr, detail: str):
-        super().__init__(f"ill-formed type {render(t)}: {detail}")
-        self.type = t
-        self.detail = detail
-
-
-def well_formed(table: ClassTable, t: TypeExpr) -> bool:
-    """True when ``t`` is ground with known heads at correct arities."""
-    if isinstance(t, Var):
-        return False
-    if t.name not in table:
-        return False
-    if len(t.args) != table.arity(t.name):
-        return False
-    return all(well_formed(table, a) for a in t.args)
-
-
-def require_well_formed(table: ClassTable, t: TypeExpr) -> None:
-    if isinstance(t, Var):
-        raise IllFormedType(t, "type variables are not ground")
-    if t.name not in table:
-        raise IllFormedType(t, f"unknown class {t.name}")
-    expected = table.arity(t.name)
-    if len(t.args) != expected:
-        raise IllFormedType(
-            t, f"class {t.name} expects {expected} argument(s), got {len(t.args)}"
-        )
-    for a in t.args:
-        require_well_formed(table, a)
+from .classtable import ClassTable, require_well_formed, superclass_of
+from .errors import InvalidValue
+from .syntax import App, NULL, OBJECT, TypeExpr, render
 
 
 def superclass_chain(table: ClassTable, t: TypeExpr) -> Iterator[TypeExpr]:
@@ -76,11 +44,6 @@ def is_subtype(table: ClassTable, s: TypeExpr, t: TypeExpr) -> bool:
     return any(sup == t for sup in superclass_chain(table, s))
 
 
-def is_interval(table: ClassTable, a: TypeExpr, b: TypeExpr) -> bool:
-    """Whether the interval notation ``a .. b`` denotes anything: ``a <: b``."""
-    return is_subtype(table, a, b)
-
-
 def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
     """All ground types over ``table`` whose nesting depth is at most ``depth``.
 
@@ -89,7 +52,7 @@ def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
     n(d+1) = 2 + k * n(d) with n(0) = 2, the 2 being Null and Object.
     """
     if depth < 0:
-        raise ValueError("depth must be nonnegative")
+        raise InvalidValue(f"depth must be nonnegative, got {depth}")
     base = {NULL, OBJECT}
     generic: list[tuple[str, int]] = []
     for name in table.names():

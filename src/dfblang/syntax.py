@@ -33,6 +33,11 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEYWORDS = frozenset({"class", "extends", "super"})
 _PUNCT = frozenset({"<", ">", ",", "{", "}"})
 
+# Deepest type-argument nesting the parser accepts. The tree walks over
+# types recurse once per level, so the cap keeps them clear of Python's
+# recursion limit.
+MAX_NESTING = 200
+
 
 def _check_identifier(name: str) -> None:
     if not _IDENT.fullmatch(name):
@@ -283,15 +288,20 @@ class _Parser:
         name = self._bare_name(first, first_tok, "parameter name")
         return TypeParamDecl(name)
 
-    def parse_type_expr(self) -> TypeExpr:
+    def parse_type_expr(self, depth: int = 0) -> TypeExpr:
         name = self.expect("ident").text
         args: tuple[TypeExpr, ...] = ()
         if self.at("punct", "<"):
+            if depth == MAX_NESTING:
+                tok = self.peek()
+                raise ParseError(
+                    f"type arguments nested deeper than {MAX_NESTING} levels",
+                    tok.line, tok.column)
             self.advance()
-            collected = [self.parse_type_expr()]
+            collected = [self.parse_type_expr(depth + 1)]
             while self.at("punct", ","):
                 self.advance()
-                collected.append(self.parse_type_expr())
+                collected.append(self.parse_type_expr(depth + 1))
             self.expect("punct", ">")
             args = tuple(collected)
         return App(name, args)
@@ -378,7 +388,3 @@ def free_vars(t: TypeExpr | None) -> Iterator[str]:
     else:
         for a in t.args:
             yield from free_vars(a)
-
-
-def is_ground(t: TypeExpr) -> bool:
-    return next(free_vars(t), None) is None

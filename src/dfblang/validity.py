@@ -23,9 +23,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .classtable import ClassTable, bounds_of
+from .classtable import ClassTable, IllFormedType, bounds_of, require_well_formed
 from .errors import DfbError
-from .subtyping import is_subtype, well_formed
+from .subtyping import is_subtype
 from .syntax import App, TypeExpr, Var, render
 
 
@@ -98,7 +98,12 @@ def is_admittable(table: ClassTable, class_name: str,
     info = table.info(class_name)
     if len(args) != info.arity:
         return False
-    return all(well_formed(table, a) for a in args)
+    try:
+        for a in args:
+            require_well_formed(table, a)
+    except IllFormedType:
+        return False
+    return True
 
 
 def is_valid_argument(

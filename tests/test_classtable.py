@@ -11,6 +11,7 @@ from dfblang.classtable import (
     ArityMismatch,
     CircularInheritance,
     DuplicateClass,
+    IllFormedType,
     InvalidExtends,
     NoSuperclass,
     UnboundVariable,
@@ -80,11 +81,13 @@ class TestBuildTable:
             build_table(parse_program("class A<T extends Mystery<T>> {}"))
         assert exc.value.name == "Mystery"
         assert "upper bound of T" in exc.value.site
+        assert isinstance(exc.value, IllFormedType)
 
     def test_arity_mismatch_in_extends(self):
         with pytest.raises(ArityMismatch) as exc:
             build_table(parse_program("class C<T> {} class A extends C {}"))
         assert (exc.value.expected, exc.value.got) == (1, 0)
+        assert isinstance(exc.value, IllFormedType)
 
     def test_circular_inheritance(self):
         with pytest.raises(CircularInheritance) as exc:
@@ -107,6 +110,15 @@ class TestBuildTable:
         with pytest.raises(UnboundVariable) as exc:
             build_table(Program((decl,)))
         assert exc.value.name == "Z"
+        assert isinstance(exc.value, IllFormedType)
+
+    def test_first_fault_in_declaration_order_is_reported(self):
+        src = ("class A<T extends C<Zorp>> extends C {}\n"
+               "class C<T> {}\n")
+        with pytest.raises(UnknownClass) as exc:
+            build_table(parse_program(src))
+        assert str(exc.value) == (
+            "unknown class Zorp in class A, upper bound of T (line 1)")
 
     def test_null_cannot_be_extended(self):
         with pytest.raises(InvalidExtends):

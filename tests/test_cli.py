@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -184,3 +185,35 @@ class TestProcessLevel:
         assert first.returncode == second.returncode == 1
         assert first.stdout == second.stdout
         json.loads(first.stdout)
+
+
+def _draws_past_the_cap(seed: int) -> bool:
+    # random_poset's first draw is the carrier size.
+    return random.Random(seed).randint(1, 100) > 64
+
+
+THEOREM_SEED = next(s for s in range(100) if _draws_past_the_cap(s))
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (("graph", "{enum}", "--depth", "-1"), 2, ""),
+    (("poset", "domain", "{dup}", "--upper", "m"), 2, ""),
+    (("real", "--upper", "x", "--grid", "1"), 2, ""),
+    (("poset", "theorem", "--random", "1", "--max-size", "100",
+      "--seed", str(THEOREM_SEED)), 2, ""),
+    (("check", "{enum}", "Box<" * 3000 + "Nope" + ">" * 3000), 2, ""),
+    (("real", "--lower", "1", "--upper", "3", "--tol", "1e-20"), 0,
+     "[1.000000, 3.000000]\n"),
+], ids=["negative-depth", "duplicate-labels", "grid-1", "max-size-100",
+        "nested-3000", "tol-1e-20"])
+def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
+                                                tmp_path):
+    dup = tmp_path / "dup.json"
+    dup.write_text('{"elements": ["a", "b", "a"], "covers": [], "maps": {}}')
+    argv = [a.format(enum=enum_file, dup=dup) for a in argv]
+    result = run_cli_process(*argv)
+    assert result.returncode == code, result.stderr
+    assert result.stdout == out
+    assert "Traceback" not in result.stderr
+    if code == 2:
+        assert result.stderr.startswith("error: ")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfblang.errors import InvalidValue
 from dfblang.poset import (
     CyclicOrder,
     DomainSpec,
@@ -271,6 +272,10 @@ class TestRandomGeneration:
     def test_sizes_cover_the_whole_range(self):
         sizes = {random_poset(i, 8).size for i in range(1000)}
         assert sizes == set(range(1, 9))
+
+    def test_empty_size_range_is_an_input_error(self):
+        with pytest.raises(InvalidValue):
+            random_poset(0, 0)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_posets_satisfy_the_axioms(self, seed):

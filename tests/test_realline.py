@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from dfblang.errors import ParseError
+from dfblang.errors import InvalidValue, ParseError
 from dfblang.realline import (
     BinOp,
     DivisionByZero,
@@ -250,6 +250,10 @@ class TestRealDomain:
             real_domain(parse_expr("1"), None, grid_n=1)
         with pytest.raises(ValueError):
             real_domain(parse_expr("1"), None, tol=0.0)
+
+    def test_negative_tolerance_is_an_input_error(self):
+        with pytest.raises(InvalidValue):
+            real_domain(parse_expr("1"), None, tol=-1.0)
 
     def test_unresolved_bounds_rejected(self):
         with pytest.raises(SelfReferenceInBody):

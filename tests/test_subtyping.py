@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from dfblang.classtable import build_table
-from dfblang.subtyping import (
+from dfblang.classtable import (
+    ArityMismatch,
     IllFormedType,
+    UnboundVariable,
+    UnknownClass,
+    build_table,
+)
+from dfblang.subtyping import (
     enumerate_ground,
     export_graph,
     ground_graph,
-    is_interval,
     is_subtype,
+    require_well_formed,
     superclass_chain,
-    well_formed,
 )
 from dfblang.syntax import App, NULL, OBJECT, Var, parse_program, parse_type, render
 
@@ -70,21 +74,32 @@ class TestIsSubtype:
             with pytest.raises(IllFormedType):
                 is_subtype(showcase_table, good, bad)
 
-    def test_is_interval_is_subtype_on_the_ends(self, enum_table):
-        assert is_interval(enum_table, parse_type("Color"),
-                           parse_type("Enum<Color>"))
-        assert not is_interval(enum_table, parse_type("Enum<Color>"),
-                               parse_type("Color"))
-
 
 class TestWellFormed:
     def test_accepts_ground_types(self, showcase_table):
-        assert well_formed(showcase_table, parse_type("F<C<Null>>"))
+        require_well_formed(showcase_table, parse_type("F<C<Null>>"))
 
     @pytest.mark.parametrize("bad", [Var("T"), App("Zorp"),
                                      App("C", (App("C"),))])
     def test_rejects_open_unknown_or_misapplied(self, bad, showcase_table):
-        assert not well_formed(showcase_table, bad)
+        with pytest.raises(IllFormedType):
+            require_well_formed(showcase_table, bad)
+
+    def test_variables_in_scope_are_accepted(self, enum_table):
+        require_well_formed(enum_table, App("Enum", (Var("T"),)), frozenset({"T"}))
+        with pytest.raises(UnboundVariable):
+            require_well_formed(enum_table, App("Enum", (Var("U"),)),
+                                frozenset({"T"}))
+
+    @pytest.mark.parametrize("bad, error", [
+        (Var("T"), UnboundVariable),
+        (App("C", (App("Zorp"),)), UnknownClass),
+        (App("C", (App("C", (App("C"),)),)), ArityMismatch),
+    ])
+    def test_each_fault_has_its_own_error_and_site(self, bad, error,
+                                                   showcase_table):
+        with pytest.raises(error, match=r" in the query$"):
+            require_well_formed(showcase_table, bad, site="the query")
 
 
 class TestEnumerateGround:

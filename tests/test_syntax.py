@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dfblang.errors import ParseError
 from dfblang.syntax import (
+    MAX_NESTING,
     App,
     ClassDecl,
     Program,
@@ -135,6 +136,14 @@ class TestParseType:
         with pytest.raises(ParseError) as exc:
             parse_type("C<T")
         assert ">" in exc.value.expected
+
+    def test_nesting_is_capped_with_a_position(self):
+        deepest = "C<" * MAX_NESTING + "Null" + ">" * MAX_NESTING
+        assert render(parse_type(deepest)) == deepest
+        with pytest.raises(ParseError) as exc:
+            parse_type("C<" + deepest + ">")
+        # The offending token is the opening bracket of level 201.
+        assert (exc.value.line, exc.value.column) == (1, 2 * MAX_NESTING + 2)
 
 
 class TestRender:

@@ -6,7 +6,16 @@ import pytest
 
 from dfblang.classtable import UnknownClass, build_table
 from dfblang.subtyping import enumerate_ground
-from dfblang.syntax import App, NULL, OBJECT, Var, parse_program, parse_type, render
+from dfblang.syntax import (
+    MAX_NESTING,
+    App,
+    NULL,
+    OBJECT,
+    Var,
+    parse_program,
+    parse_type,
+    render,
+)
 from dfblang.validity import (
     Context,
     NotAdmittable,
@@ -39,6 +48,8 @@ class TestIsAdmittable:
     def test_open_or_unknown_arguments(self, enum_table):
         assert not is_admittable(enum_table, "Enum", (Var("T"),))
         assert not is_admittable(enum_table, "Enum", (App("Zorp"),))
+        nested = App("Enum", (App("Enum", (App("Zorp"),)),))
+        assert not is_admittable(enum_table, "Enum", (nested,))
 
     def test_unknown_class_is_an_error(self, enum_table):
         with pytest.raises(UnknownClass):
@@ -118,6 +129,13 @@ class TestBoundContext:
 
 
 class TestCheckType:
+    def test_deepest_parsable_type_is_judged(self):
+        table = build_table(parse_program("class Box<T> {}"))
+        deepest = parse_type("Box<" * MAX_NESTING + "Null" + ">" * MAX_NESTING)
+        verdict = check_type(table, deepest)
+        assert verdict.is_valid
+        assert len(verdict.query_log) == 2 * MAX_NESTING
+
     def test_walkthrough_instantiation(self, enum_table):
         verdict = check_type(enum_table, parse_type("Enum<Color>"))
         assert verdict.status is Status.VALID
