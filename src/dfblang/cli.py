@@ -21,7 +21,7 @@ import traceback
 from . import poset as posets
 from . import realline
 from .classtable import ClassTable, build_table
-from .errors import DfbError
+from .errors import DfbError, InvalidValue
 from .subtyping import export_graph
 from .syntax import parse_program, parse_type
 from .validity import Verdict, check_type
@@ -121,6 +121,9 @@ def _cmd_poset_domain(args: argparse.Namespace) -> int:
 
 def _cmd_poset_theorem(args: argparse.Namespace) -> int:
     if args.random is not None:
+        if args.random < 1:
+            raise InvalidValue(
+                f"--random needs at least 1 instance, got {args.random}")
         failures = 0
         for i in range(args.random):
             poset = posets.random_poset(args.seed + i, args.max_size)

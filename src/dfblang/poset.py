@@ -333,7 +333,10 @@ def load_poset_file(path: str) -> tuple[FinitePoset, dict[str, EndoMap]]:
                 or not all(isinstance(p, str) for p in pair)):
             raise PosetFileError(f"{path}: bad cover entry {pair!r}")
         covers.append((pair[0], pair[1]))
-    poset = make_poset(elements, covers)
+    try:
+        poset = make_poset(elements, covers)
+    except DfbError as exc:
+        raise PosetFileError(f"{path}: {exc}") from None
     maps_raw = data.get("maps", {})
     if not isinstance(maps_raw, dict):
         raise PosetFileError(f"{path}: 'maps' must be an object")

@@ -12,15 +12,26 @@ sign change is sharpened by bisection down to a tolerance. What the
 grid cannot see (features narrower than one cell) stays invisible;
 intervals that run into the window edge are flagged rather than
 extended, standing in for unbounded rays.
+
+Each bound is compiled once, on its first evaluation, into nested
+closures, one per node, that do the float operations of a walk over the
+tree in the walk's order; the thousands of evaluations a decision makes
+then cost one call per node and no dispatch. ``parse_expr`` refuses
+operators and parentheses nested deeper than ``MAX_NESTING`` levels with
+a positioned ParseError, so neither parsing nor compiling nor evaluating
+a bound can reach Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 from .errors import DfbError, InvalidValue, ParseError
+from .syntax import MAX_NESTING
 
 
 class SelfReferenceInBody(DfbError):
@@ -41,35 +52,50 @@ class EmptyWindow(DfbError):
 # Expressions
 
 
+class _Node:
+    """Base of the expression nodes: each compiles once, on first use.
+
+    The closure is cached in the instance dict, not in a dataclass field,
+    so equality, hashing and repr never see it.
+    """
+
+    @cached_property
+    def _closure(self) -> Callable[[float], float]:
+        return _compile(self)
+
+    def __getstate__(self) -> dict:  # closures do not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_closure"}
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class X:
+class X(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class SelfRef:
+class SelfRef(_Node):
     """The literal token f(x): the function's own value at x."""
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Expr"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # '+', '-', '*', '/'
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: "Expr"
     exponent: int
 
@@ -81,6 +107,7 @@ class Pow:
 Expr = Num | X | SelfRef | Neg | BinOp | Pow
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+\.|\.\d+|\d+)|([A-Za-z_]\w*)|([-+*/^()]))")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def _tokenize_expr(text: str) -> list[tuple[str, str, int]]:
@@ -108,7 +135,13 @@ def _tokenize_expr(text: str) -> list[tuple[str, str, int]]:
 
 
 class _ExprParser:
-    """Precedence climbing: ^ binds tightest, then unary -, then * /, then + -."""
+    """Precedence climbing: ^ binds tightest, then unary -, then * /, then + -.
+
+    Each parse method takes the depth of what it parses (the operators
+    and parentheses around it) and returns the node with the depth of
+    its deepest leaf; nesting past MAX_NESTING is a ParseError at the
+    token that goes one level too deep.
+    """
 
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
@@ -131,46 +164,49 @@ class _ExprParser:
         _, text, col = self.peek()
         raise ParseError(message, 1, col, frozenset(expected))
 
-    def parse_sum(self) -> Expr:
-        left = self.parse_term()
-        while self.at_op("+", "-"):
-            op = self.advance()[1]
-            left = BinOp(op, left, self.parse_term())
-        return left
+    def nest(self, depth: int) -> int:
+        if depth > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
+        return depth
 
-    def parse_term(self) -> Expr:
-        left = self.parse_factor()
-        while self.at_op("*", "/"):
-            op = self.advance()[1]
-            left = BinOp(op, left, self.parse_factor())
-        return left
-
-    def parse_factor(self) -> Expr:
-        if self.at_op("-"):
+    def parse_binary(self, depth: int, min_prec: int = 1) -> tuple[Expr, int]:
+        left, reach = self.parse_operand(depth)
+        while True:
+            kind, op, _ = self.peek()
+            if kind != "op" or _PRECEDENCE.get(op, 0) < min_prec:
+                return left, reach
+            reach = self.nest(reach + 1)
             self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_power()
+            right, right_reach = self.parse_binary(depth + 1,
+                                                   _PRECEDENCE[op] + 1)
+            left, reach = BinOp(op, left, right), max(reach, right_reach)
 
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
+    def parse_operand(self, depth: int) -> tuple[Expr, int]:
+        if self.at_op("-"):
+            depth = self.nest(depth + 1)
+            self.advance()
+            operand, reach = self.parse_operand(depth)
+            return Neg(operand), reach
+        base, reach = self.parse_atom(depth)
         while self.at_op("^"):
+            reach = self.nest(reach + 1)
             self.advance()
             kind, text, col = self.peek()
             if kind != "num" or "." in text:
                 self.fail("exponent must be a nonnegative integer")
             self.advance()
             base = Pow(base, int(text))
-        return base
+        return base, reach
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self, depth: int) -> tuple[Expr, int]:
         kind, text, col = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(text))
+            return Num(float(text)), depth
         if kind == "name":
             self.advance()
             if text == "x":
-                return X()
+                return X(), depth
             if text == "f":
                 for want in "(x)":
                     k, t, c = self.peek()
@@ -179,12 +215,13 @@ class _ExprParser:
                             "the self-reference must be written f(x)", 1, c,
                             frozenset({want}))
                     self.advance()
-                return SelfRef()
+                return SelfRef(), depth
             raise ParseError(f"unknown name {text!r}", 1, col,
                              frozenset({"x", "f(x)"}))
         if self.at_op("("):
+            depth = self.nest(depth + 1)
             self.advance()
-            inner = self.parse_sum()
+            inner = self.parse_binary(depth)
             if not self.at_op(")"):
                 self.fail("unbalanced parenthesis", {")"})
             self.advance()
@@ -193,8 +230,14 @@ class _ExprParser:
 
 
 def parse_expr(text: str) -> Expr:
+    """Parse a bound in x.
+
+    Operators and parentheses may nest at most MAX_NESTING levels deep,
+    which keeps every recursive walk over the tree, the compiled
+    closures included, clear of Python's recursion limit.
+    """
     parser = _ExprParser(_tokenize_expr(text))
-    expr = parser.parse_sum()
+    expr, _ = parser.parse_binary(0)
     if parser.peek()[0] != "eof":
         parser.fail("trailing input", {"end of input"})
     return expr
@@ -238,37 +281,66 @@ def resolve_self_reference(bound: Expr, body: Expr) -> Expr:
     return sub(bound)
 
 
-def eval_expr(e: Expr, x: float) -> float:
-    """IEEE double evaluation; infinities flow through, 0 denominators raise."""
+def _compile(e: Expr) -> Callable[[float], float]:
+    """One closure per node, doing the float operations of a recursive
+    walk over e in the walk's order; a fault raises when it is reached."""
     match e:
         case Num(value):
-            return value
+            return lambda x: value
         case X():
-            return x
+            return lambda x: x
         case SelfRef():
-            raise SelfReferenceInBody(
-                "unresolved f(x): substitute the body before evaluating")
+            def unresolved(x: float) -> float:
+                raise SelfReferenceInBody(
+                    "unresolved f(x): substitute the body before evaluating")
+            return unresolved
         case Neg(operand):
-            return -eval_expr(operand, x)
+            f = _compile(operand)
+            return lambda x: -f(x)
         case BinOp("+", left, right):
-            return eval_expr(left, x) + eval_expr(right, x)
+            f, g = _compile(left), _compile(right)
+            return lambda x: f(x) + g(x)
         case BinOp("-", left, right):
-            return eval_expr(left, x) - eval_expr(right, x)
+            f, g = _compile(left), _compile(right)
+            return lambda x: f(x) - g(x)
         case BinOp("*", left, right):
-            return eval_expr(left, x) * eval_expr(right, x)
+            f, g = _compile(left), _compile(right)
+            return lambda x: f(x) * g(x)
         case BinOp("/", left, right):
-            denom = eval_expr(right, x)
-            if denom == 0.0:
-                raise DivisionByZero(x)
-            return eval_expr(left, x) / denom
+            f, g = _compile(left), _compile(right)
+
+            def divide(x: float) -> float:
+                denom = g(x)
+                if denom == 0.0:
+                    raise DivisionByZero(x)
+                return f(x) / denom
+            return divide
         case Pow(base, exponent):
-            try:
-                return eval_expr(base, x) ** exponent
-            except OverflowError:
-                b = eval_expr(base, x)
-                sign = -1.0 if b < 0 and exponent % 2 else 1.0
-                return sign * math.inf
-    raise TypeError(f"not an expression node: {e!r}")
+            f = _compile(base)
+
+            def power(x: float) -> float:
+                b = f(x)
+                try:
+                    return b ** exponent
+                except OverflowError:
+                    return -math.inf if b < 0 and exponent % 2 else math.inf
+            return power
+
+    def not_a_node(x: float) -> float:
+        raise TypeError(f"not an expression node: {e!r}")
+    return not_a_node
+
+
+def eval_expr(e: Expr, x: float) -> float:
+    """IEEE double evaluation; infinities flow through, 0 denominators raise.
+
+    Runs the closure e compiled to on its first evaluation.
+    """
+    try:
+        closure = e._closure
+    except AttributeError:
+        raise TypeError(f"not an expression node: {e!r}") from None
+    return closure(x)
 
 
 # ---------------------------------------------------------------------------

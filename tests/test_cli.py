@@ -119,6 +119,13 @@ class TestPosetCommands:
         assert code == 0
         assert out.strip() == "25/25 pass"
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_theorem_sweep_needs_an_instance(self, run_cli, count):
+        code, out, err = run_cli("poset", "theorem", "--random", count)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --random needs at least 1 instance, got {count}\n"
+
     def test_theorem_needs_map_or_random(self, run_cli, chain4_file):
         code, _, _ = run_cli("poset", "theorem", chain4_file)
         assert code == 2
@@ -204,8 +211,11 @@ THEOREM_SEED = next(s for s in range(100) if _draws_past_the_cap(s))
     (("check", "{enum}", "Box<" * 3000 + "Nope" + ">" * 3000), 2, ""),
     (("real", "--lower", "1", "--upper", "3", "--tol", "1e-20"), 0,
      "[1.000000, 3.000000]\n"),
+    (("real", "--upper", "(" * 200 + "x" + ")" * 200), 0, "[-edge, +edge]\n"),
+    (("real", "--upper", "+".join(["x"] * 1000)), 2, ""),
+    (("real", "--upper=" + "-" * 3000 + "x"), 2, ""),
 ], ids=["negative-depth", "duplicate-labels", "grid-1", "max-size-100",
-        "nested-3000", "tol-1e-20"])
+        "nested-3000", "tol-1e-20", "parens-200", "sum-1000", "minus-3000"])
 def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
                                                 tmp_path):
     dup = tmp_path / "dup.json"

@@ -316,6 +316,20 @@ class TestPosetFile:
         with pytest.raises(PosetFileError):
             load_poset_file(str(path))
 
+    @pytest.mark.parametrize("elements, covers, message", [
+        ('["a", "b", "a"]', "[]", "duplicate element labels"),
+        ('["a"]', '[["a", "z"]]', "unknown element 'z'"),
+        ('["a", "b"]', '[["a", "b"], ["b", "a"]]',
+         "cover relation has a cycle: a <= b <= a"),
+    ], ids=["duplicate", "unknown", "cycle"])
+    def test_carrier_errors_name_the_file(self, tmp_path, elements, covers,
+                                          message):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"elements": {elements}, "covers": {covers}}}')
+        with pytest.raises(PosetFileError) as exc:
+            load_poset_file(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_bad_cover_shape_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"elements": ["a"], "covers": [["a"]]}')

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import pickle
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dfblang import realline
 from dfblang.errors import InvalidValue, ParseError
 from dfblang.realline import (
     BinOp,
@@ -26,6 +32,7 @@ from dfblang.realline import (
     real_domain,
     resolve_self_reference,
 )
+from dfblang.syntax import MAX_NESTING
 
 TOL = 1e-9
 
@@ -74,6 +81,66 @@ class TestParseExpr:
             parse_expr("f(2)")
 
 
+def _parens(n: int) -> str:
+    return "(" * n + "x" + ")" * n
+
+
+def _sum(n_terms: int) -> str:
+    return "+".join(["x"] * n_terms)
+
+
+def _minuses(n: int) -> str:
+    return "-" * n + "x"
+
+
+class TestNestingCap:
+    # Each shape nests one level per parenthesis, '+' or '-'; the cap
+    # counts levels, so a flat sum reaches it at MAX_NESTING + 1 terms.
+    @pytest.mark.parametrize("text, value", [
+        (_parens(MAX_NESTING), 3.0),
+        (_sum(MAX_NESTING + 1), 3.0 * (MAX_NESTING + 1)),
+        (_minuses(MAX_NESTING), 3.0),
+    ], ids=["parens", "sum", "minuses"])
+    def test_at_the_cap_it_evaluates(self, text, value):
+        assert eval_expr(parse_expr(text), 3.0) == value
+
+    @pytest.mark.parametrize("text, column", [
+        (_parens(MAX_NESTING + 1), MAX_NESTING + 1),
+        (_sum(MAX_NESTING + 2), 2 * (MAX_NESTING + 1)),
+        (_minuses(MAX_NESTING + 1), MAX_NESTING + 1),
+    ], ids=["parens", "sum", "minuses"])
+    def test_one_past_the_cap_is_a_positioned_parse_error(self, text, column):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+        assert "nested deeper" in exc.value.message
+
+    @pytest.mark.parametrize("text", [
+        _parens(MAX_NESTING * 5), _sum(1000), _minuses(3000),
+        "x" + "^1" * (MAX_NESTING + 1),
+    ], ids=["parens", "sum", "minuses", "powers"])
+    def test_far_past_the_cap_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_expr(text)
+
+    def test_levels_add_up_across_shapes(self):
+        half = MAX_NESTING // 2
+        parse_expr("-" * half + _parens(half))
+        with pytest.raises(ParseError):
+            parse_expr("-" * half + _parens(half + 1))
+
+    def test_resolved_bounds_at_the_cap_decide(self):
+        # f(x) at the bottom of a capped bound, replaced by a capped body,
+        # doubles the tree's depth; deciding it stays clear of the
+        # recursion limit.
+        body = parse_expr(_minuses(MAX_NESTING))
+        bound = parse_expr("-" * (MAX_NESTING - 2) + "(1-f(x))")
+        report = real_domain(None, resolve_self_reference(bound, body),
+                             window=(-4.0, 4.0), grid_n=9)
+        (only,) = report.intervals
+        assert only.touches_left_edge and abs(only.hi - 0.5) <= TOL
+
+
 class TestEval:
     def test_polynomial(self):
         assert eval_expr(parse_expr("x^3"), 2.0) == 8.0
@@ -94,6 +161,118 @@ class TestEval:
     def test_unresolved_self_reference_refuses_to_evaluate(self):
         with pytest.raises(SelfReferenceInBody):
             eval_expr(SelfRef(), 1.0)
+
+    def test_denominator_is_evaluated_first(self):
+        with pytest.raises(DivisionByZero):
+            eval_expr(BinOp("/", SelfRef(), Num(-0.0)), 1.0)
+
+    def test_non_nodes_are_type_errors(self):
+        with pytest.raises(TypeError):
+            eval_expr(3.0, 1.0)
+        with pytest.raises(TypeError):
+            eval_expr(Neg(3.0), 1.0)
+        with pytest.raises(TypeError):
+            eval_expr(BinOp("%", X(), X()), 1.0)
+
+    def test_the_compiled_closure_stays_out_of_eq_hash_and_repr(self):
+        evaluated, fresh = parse_expr("x^2+1"), parse_expr("x^2+1")
+        eval_expr(evaluated, 2.0)
+        assert evaluated == fresh and hash(evaluated) == hash(fresh)
+        assert repr(evaluated) == repr(fresh)
+
+    def test_evaluated_expressions_still_pickle(self):
+        e = parse_expr("1/(x-2)^3")
+        eval_expr(e, 1.0)
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and eval_expr(copy, 1.0) == -1.0
+
+
+def _walk(e, x):
+    """Reference: a recursive walk over the tree, one node per call."""
+    match e:
+        case Num(value):
+            return value
+        case X():
+            return x
+        case SelfRef():
+            raise SelfReferenceInBody("unresolved f(x)")
+        case Neg(operand):
+            return -_walk(operand, x)
+        case BinOp("+", left, right):
+            return _walk(left, x) + _walk(right, x)
+        case BinOp("-", left, right):
+            return _walk(left, x) - _walk(right, x)
+        case BinOp("*", left, right):
+            return _walk(left, x) * _walk(right, x)
+        case BinOp("/", left, right):
+            denom = _walk(right, x)
+            if denom == 0.0:
+                raise DivisionByZero(x)
+            return _walk(left, x) / denom
+        case Pow(base, exponent):
+            try:
+                return _walk(base, x) ** exponent
+            except OverflowError:
+                b = _walk(base, x)
+                sign = -1.0 if b < 0 and exponent % 2 else 1.0
+                return sign * math.inf
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _outcome(evaluate, e, x):
+    try:
+        return repr(evaluate(e, x))
+    except Exception as exc:  # the exception's type is the outcome
+        return type(exc)
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 10.0, 1e300, -1e300,
+            math.inf, -math.inf]
+_numbers = st.sampled_from(_SPECIAL) | st.floats(width=64)
+_leaves = st.one_of(st.builds(Num, _numbers), st.just(Num(0.0)), st.just(X()),
+                    st.just(SelfRef()))
+_exprs = st.recursive(
+    _leaves,
+    lambda sub: (st.builds(Neg, sub)
+                 | st.builds(BinOp, st.sampled_from("+-*/"), sub, sub)
+                 | st.builds(Pow, sub, st.sampled_from([0, 1, 2, 3, 7, 400, 401]))),
+    max_leaves=12)
+_free_exprs = _exprs.filter(lambda e: not contains_self(e))
+_xs = st.sampled_from(_SPECIAL) | st.floats(-1e3, 1e3)
+_ZERO_OVER_ZERO = BinOp("/", Num(1.0), BinOp("-", X(), X()))
+
+
+class TestCompiledMatchesTheWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(_exprs, _xs)
+    @example(BinOp("/", SelfRef(), X()), 0.0)
+    @example(BinOp("+", _ZERO_OVER_ZERO, SelfRef()), 1.0)
+    @example(Pow(BinOp("*", X(), Num(-1e300)), 3), 1e10)
+    def test_same_value_or_same_exception(self, e, x):
+        assert _outcome(eval_expr, e, x) == _outcome(_walk, e, x)
+
+    def test_the_awkward_cases_occur(self):
+        x = 0.0
+        cases = {
+            "x/0": BinOp("/", X(), Num(0.0)),
+            "inf-inf": BinOp("-", Pow(Num(10.0), 400), Pow(Num(10.0), 400)),
+            "(-10)^401": Pow(Num(-10.0), 401),
+            "-0": Neg(X()),
+        }
+        outcomes = {k: _outcome(eval_expr, e, x) for k, e in cases.items()}
+        assert outcomes == {k: _outcome(_walk, e, x) for k, e in cases.items()}
+        assert outcomes == {"x/0": DivisionByZero, "inf-inf": "nan",
+                            "(-10)^401": "-inf", "-0": "-0.0"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.none() | _free_exprs, _free_exprs,
+           st.floats(-50, 50), st.floats(0.5, 50), st.integers(2, 60))
+    def test_real_domain_matches_the_walk(self, lower, upper, a, width, n):
+        window = (a, a + width)
+        compiled = real_domain(lower, upper, window=window, grid_n=n)
+        with mock.patch.object(realline, "eval_expr", _walk):
+            walked = real_domain(lower, upper, window=window, grid_n=n)
+        assert repr(compiled) == repr(walked)
 
 
 class TestResolveSelfReference:
@@ -302,6 +481,15 @@ class TestPlotCsv:
         emit_plot_csv(str(path), small_report)
         lines = path.read_text().splitlines()
         assert all(line.split(",")[1] == "" for line in lines[1:])
+
+    def test_cubic_fixture_is_pinned(self, tmp_path):
+        # sha256 of this file as written by the recursive-walk evaluator.
+        lower = parse_expr("(x-5)^3-10*x+65")
+        upper = parse_expr("-(x-5)^3+10*x-37")
+        path = tmp_path / "cubic.csv"
+        emit_plot_csv(str(path), real_domain(lower, upper), None, lower, upper)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7155fcf0099926c497e3ed96277343862fd5b02455bfad7838fc8352ca48028f")
 
     def test_byte_identical_across_runs(self, tmp_path, small_report):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
