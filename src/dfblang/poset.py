@@ -8,9 +8,11 @@ re-asked of the bound's value, coincide; the iteration in
 :func:`recursive_domain_gfp` makes the second reading executable and
 stabilizes after a single step.
 
-Posets are stored as closed less-or-equal relations over a small
-carrier (default cap 64 elements), built from cover pairs and checked
-for reflexivity, transitivity, and antisymmetry at construction.
+A poset is built from cover pairs over a carrier of at most 64
+elements. One depth-first search rejects a cycle (which would break
+antisymmetry) and closes each element's up-set as an ``int`` bit mask,
+the OR of its own bit and its successors' masks; reflexivity and
+transitivity hold by construction, and an order query is one shift.
 """
 
 from __future__ import annotations
@@ -45,11 +47,14 @@ class FinitePoset:
     """A finite poset with O(1) order queries.
 
     ``elements`` keeps declaration order, which is also the order used
-    when printing subsets. ``up[x]`` is the set of elements >= x.
+    when printing subsets. The order is one ``int`` bit mask per
+    element: bit ``j`` of ``up[i]`` is set when
+    ``elements[i] <= elements[j]``.
     """
 
-    def __init__(self, elements: tuple[str, ...], up: dict[str, frozenset[str]]):
+    def __init__(self, elements: tuple[str, ...], up: list[int]):
         self.elements = elements
+        self._index = {x: i for i, x in enumerate(elements)}
         self._up = up
 
     @property
@@ -57,20 +62,25 @@ class FinitePoset:
         return len(self.elements)
 
     def check_element(self, x: str) -> None:
-        if x not in self._up:
+        if x not in self._index:
             raise UnknownElement(x)
 
     def leq(self, x: str, y: str) -> bool:
-        self.check_element(x)
-        self.check_element(y)
-        return y in self._up[x]
+        index = self._index
+        try:
+            i = index[x]
+            j = index[y]
+        except KeyError as exc:
+            raise UnknownElement(exc.args[0]) from None
+        return self._up[i] >> j & 1 == 1
 
     def lt(self, x: str, y: str) -> bool:
         return x != y and self.leq(x, y)
 
     def up_set(self, x: str) -> frozenset[str]:
         self.check_element(x)
-        return self._up[x]
+        mask = self._up[self._index[x]]
+        return frozenset(y for j, y in enumerate(self.elements) if mask >> j & 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinitePoset):
@@ -88,58 +98,55 @@ def make_poset(
     """Close a cover relation into a poset.
 
     Duplicate or too many elements are rejected outright; covers over
-    undeclared labels raise :class:`UnknownElement`; a cycle in the
-    covers would break antisymmetry and raises :class:`CyclicOrder`
-    naming the offending path.
+    undeclared labels raise :class:`UnknownElement`, in cover order; a
+    cycle in the covers would break antisymmetry and raises
+    :class:`CyclicOrder` naming the first cycle a depth-first search
+    meets, walking elements in declaration order and each element's
+    covers in the order given.
     """
     elements = tuple(elements)
-    if len(elements) != len(set(elements)):
+    index = {x: i for i, x in enumerate(elements)}
+    if len(index) != len(elements):
         raise InvalidValue("duplicate element labels")
     if len(elements) > MAX_ELEMENTS:
         raise InvalidValue(
             f"carrier too large: {len(elements)} elements, cap is {MAX_ELEMENTS}"
         )
-    succ: dict[str, set[str]] = {x: set() for x in elements}
+    succ: list[list[int]] = [[] for _ in elements]
     for a, b in covers:
-        if a not in succ:
+        if a not in index:
             raise UnknownElement(a)
-        if b not in succ:
+        if b not in index:
             raise UnknownElement(b)
-        succ[a].add(b)
+        succ[index[a]].append(index[b])
 
-    _reject_cycles(elements, succ)
-
-    up: dict[str, frozenset[str]] = {}
-    for x in elements:
-        seen = {x}
-        stack = [x]
-        while stack:
-            for y in succ[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        up[x] = frozenset(seen)
+    # up[i] is 0 before the search reaches i, -1 while i is on the path,
+    # and i's closed up-set mask once every successor of i is finished.
+    up = [0] * len(elements)
+    for root in range(len(elements)):
+        if up[root]:
+            continue
+        up[root] = -1
+        path = [root]
+        pending = [iter(succ[root])]
+        while pending:
+            for j in pending[-1]:
+                if up[j] == -1:
+                    cycle = path[path.index(j):]
+                    raise CyclicOrder(tuple(elements[k] for k in cycle))
+                if not up[j]:
+                    up[j] = -1
+                    path.append(j)
+                    pending.append(iter(succ[j]))
+                    break
+            else:
+                pending.pop()
+                i = path.pop()
+                mask = 1 << i
+                for j in succ[i]:
+                    mask |= up[j]
+                up[i] = mask
     return FinitePoset(elements, up)
-
-
-def _reject_cycles(elements: tuple[str, ...], succ: dict[str, set[str]]) -> None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {x: WHITE for x in elements}
-
-    def visit(x: str, path: list[str]) -> None:
-        color[x] = GRAY
-        path.append(x)
-        for y in succ[x]:
-            if color[y] == GRAY:
-                raise CyclicOrder(tuple(path[path.index(y):]))
-            if color[y] == WHITE:
-                visit(y, path)
-        path.pop()
-        color[x] = BLACK
-
-    for x in elements:
-        if color[x] == WHITE:
-            visit(x, [])
 
 
 class EndoMap:
@@ -286,15 +293,18 @@ def random_poset(seed: int, max_size: int = 8) -> FinitePoset:
         raise InvalidValue(f"the maximum size must be at least 1, got {max_size}")
     rng = random.Random(seed)
     n = rng.randint(1, max_size)
-    elements = tuple(f"p{i}" for i in range(n))
+    # A list, not a generator: CPython builds a tuple from a generator by
+    # resizing it, and each such tuple of under 20 items, once freed, grows
+    # the tuple free list until the next full garbage collection.
+    labels = [f"p{i}" for i in range(n)]
     density = rng.uniform(0.1, 0.6)
     covers = [
-        (elements[i], elements[j])
+        (labels[i], labels[j])
         for i in range(n)
         for j in range(i + 1, n)
         if rng.random() < density
     ]
-    return make_poset(elements, covers)
+    return make_poset(labels, covers)
 
 
 def random_endomap(seed: int, poset: FinitePoset) -> EndoMap:

@@ -403,6 +403,8 @@ class DomainReport:
 DEFAULT_WINDOW = (-100.0, 100.0)
 DEFAULT_GRID_N = 4001
 DEFAULT_TOL = 1e-9
+# Samples one grid may take; the grid is allocated up front.
+MAX_GRID_N = 1_000_000
 
 
 def _grid(window: tuple[float, float], n: int) -> list[float]:
@@ -437,6 +439,9 @@ def real_domain(
         raise EmptyWindow(f"window [{lo}, {hi}] contains no interval")
     if grid_n < 2:
         raise InvalidValue(f"the grid needs at least 2 samples, got {grid_n}")
+    if grid_n > MAX_GRID_N:
+        raise InvalidValue(
+            f"the grid allows at most {MAX_GRID_N} samples, got {grid_n}")
     if tol <= 0:
         raise InvalidValue(f"the tolerance must be positive, got {tol}")
 

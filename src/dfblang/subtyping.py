@@ -22,6 +22,11 @@ from .classtable import ClassTable, require_well_formed, superclass_of
 from .errors import InvalidValue
 from .syntax import App, NULL, OBJECT, TypeExpr, render
 
+# Ground types one enumeration may produce. Each depth level multiplies
+# the count (by k for k unary classes), so the budget is checked on the
+# predicted count before anything is built.
+MAX_GRAPH_NODES = 100_000
+
 
 def superclass_chain(table: ClassTable, t: TypeExpr) -> Iterator[TypeExpr]:
     """Successive superclasses of ``t``, ending with Object; empty for Null."""
@@ -50,6 +55,7 @@ def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
     Nullary applications have depth 0; ``C<ts>`` has depth one more than
     its deepest argument. For a table of k unary classes the counts obey
     n(d+1) = 2 + k * n(d) with n(0) = 2, the 2 being Null and Object.
+    A depth whose count would exceed MAX_GRAPH_NODES is rejected.
     """
     if depth < 0:
         raise InvalidValue(f"depth must be nonnegative, got {depth}")
@@ -61,6 +67,14 @@ def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
             base.add(App(name))
         else:
             generic.append((name, arity))
+    if not generic:
+        depth = 0  # every depth gives the same nullary types
+    count = len(base)
+    for _ in range(depth):
+        count = len(base) + sum(count ** arity for _, arity in generic)
+        if count > MAX_GRAPH_NODES:
+            raise InvalidValue(
+                f"depth {depth} enumerates more than {MAX_GRAPH_NODES} ground types")
     current: set[TypeExpr] = set(base)
     for _ in range(depth):
         grown = set(base)

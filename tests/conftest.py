@@ -88,9 +88,12 @@ def run_cli(capsys):
     return run
 
 
-def run_cli_process(*argv: str) -> subprocess.CompletedProcess:
-    """Invoke the CLI as a child process, importable without installation."""
-    env = dict(os.environ)
+def run_cli_process(*argv: str, **env_vars: str) -> subprocess.CompletedProcess:
+    """Invoke the CLI as a child process, importable without installation.
+
+    Keyword arguments are set in the child's environment.
+    """
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "dfblang", *argv],

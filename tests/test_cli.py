@@ -214,8 +214,11 @@ THEOREM_SEED = next(s for s in range(100) if _draws_past_the_cap(s))
     (("real", "--upper", "(" * 200 + "x" + ")" * 200), 0, "[-edge, +edge]\n"),
     (("real", "--upper", "+".join(["x"] * 1000)), 2, ""),
     (("real", "--upper=" + "-" * 3000 + "x"), 2, ""),
+    (("graph", "{enum}", "--depth", "1000000000"), 2, ""),
+    (("real", "--upper", "x", "--grid", "1000001"), 2, ""),
 ], ids=["negative-depth", "duplicate-labels", "grid-1", "max-size-100",
-        "nested-3000", "tol-1e-20", "parens-200", "sum-1000", "minus-3000"])
+        "nested-3000", "tol-1e-20", "parens-200", "sum-1000", "minus-3000",
+        "depth-1e9", "grid-1000001"])
 def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
                                                 tmp_path):
     dup = tmp_path / "dup.json"
@@ -227,3 +230,24 @@ def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
     assert "Traceback" not in result.stderr
     if code == 2:
         assert result.stderr.startswith("error: ")
+
+
+CROSSED_CYCLES = {"elements": ["a", "b", "c", "d", "e"],
+                  "covers": [["a", "b"], ["a", "c"], ["b", "d"], ["d", "b"],
+                             ["c", "e"], ["e", "c"]],
+                  "maps": {}}
+
+
+def test_cycle_message_does_not_depend_on_the_hash_seed(tmp_path):
+    # Two disjoint cycles below a; the search walks covers in the order
+    # given, so it meets b <= d <= b first under every string hash.
+    path = tmp_path / "cycles.json"
+    path.write_text(json.dumps(CROSSED_CYCLES))
+    results = {
+        (r.returncode, r.stdout, r.stderr)
+        for r in (run_cli_process("poset", "domain", str(path), "--upper", "m",
+                                  PYTHONHASHSEED=str(seed))
+                  for seed in range(8))
+    }
+    assert results == {
+        (2, "", f"error: {path}: cover relation has a cycle: b <= d <= b\n")}

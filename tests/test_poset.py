@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dfblang.errors import InvalidValue
 from dfblang.poset import (
+    MAX_ELEMENTS,
     CyclicOrder,
     DomainSpec,
     EndoMap,
@@ -68,6 +70,69 @@ def _assert_poset_axioms(poset: FinitePoset) -> None:
             assert poset.leq(x, z), f"transitivity fails on {x}, {y}, {z}"
 
 
+def reference_up_sets(elements, covers) -> dict[str, frozenset[str]]:
+    """Up-sets by set-based graph search, with a recursive cycle check.
+
+    Raises what make_poset raises, in the same order: duplicate labels,
+    the carrier cap, unknown cover labels in cover order, then the first
+    cycle a depth-first search meets in declaration and cover order.
+    """
+    elements = tuple(elements)
+    if len(set(elements)) != len(elements):
+        raise InvalidValue("duplicate element labels")
+    if len(elements) > MAX_ELEMENTS:
+        raise InvalidValue(
+            f"carrier too large: {len(elements)} elements, cap is {MAX_ELEMENTS}")
+    succ: dict[str, list[str]] = {x: [] for x in elements}
+    for a, b in covers:
+        for end in (a, b):
+            if end not in succ:
+                raise UnknownElement(end)
+        succ[a].append(b)
+
+    finished: set[str] = set()
+
+    def visit(x: str, path: list[str]) -> None:
+        path.append(x)
+        for y in succ[x]:
+            if y in path:
+                raise CyclicOrder(tuple(path[path.index(y):]))
+            if y not in finished:
+                visit(y, path)
+        path.pop()
+        finished.add(x)
+
+    for x in elements:
+        if x not in finished:
+            visit(x, [])
+
+    up = {}
+    for x in elements:
+        seen, stack = {x}, [x]
+        while stack:
+            for y in succ[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        up[x] = frozenset(seen)
+    return up
+
+
+@st.composite
+def cover_inputs(draw):
+    """Carriers of 0-7 or 62-66 labels, sometimes with a repeated label,
+    and covers in any direction, sometimes over an undeclared label."""
+    n = draw(st.one_of(st.integers(0, 7), st.integers(62, 66)))
+    elements = [f"e{i}" for i in range(n)]
+    if elements and draw(st.integers(0, 9)) == 0:
+        elements.insert(draw(st.integers(0, n)), draw(st.sampled_from(elements)))
+    labels = elements + draw(st.sampled_from([[], [], [], ["zz"]]))
+    if not labels:
+        return elements, []
+    label = st.sampled_from(labels)
+    return elements, draw(st.lists(st.tuples(label, label), max_size=3 * n + 2))
+
+
 class TestMakePoset:
     def test_covers_close_transitively(self, chain4):
         poset, _ = chain4
@@ -109,6 +174,49 @@ class TestMakePoset:
     @given(posets())
     def test_axioms_always_hold(self, poset):
         _assert_poset_axioms(poset)
+
+    def test_first_cycle_in_declaration_order_is_reported(self):
+        covers = [("a", "b"), ("a", "c"), ("b", "d"), ("d", "b"),
+                  ("c", "e"), ("e", "c")]
+        with pytest.raises(CyclicOrder) as exc:
+            make_poset(["a", "b", "c", "d", "e"], covers)
+        assert exc.value.cycle == ("b", "d")
+
+    def test_self_cover_is_a_cycle(self):
+        with pytest.raises(CyclicOrder, match=r"cycle: a <= a$"):
+            make_poset(["a"], [("a", "a")])
+
+    def test_unknown_source_reported_before_unknown_target(self, chain4):
+        poset, _ = chain4
+        with pytest.raises(UnknownElement, match="'x'"):
+            poset.leq("x", "y")
+        with pytest.raises(UnknownElement, match="'x'"):
+            make_poset(["a"], [("a", "a"), ("x", "y")])
+
+    def test_equality_compares_carrier_and_order(self):
+        abc, covers = ["a", "b", "c"], [("a", "b"), ("b", "c")]
+        assert make_poset(abc, covers) == make_poset(abc, covers + [("a", "c")])
+        assert make_poset(abc, covers) != make_poset(abc, covers[:1])
+        assert make_poset(abc, []) != make_poset(["a", "c", "b"], [])
+        assert repr(make_poset(abc, covers)) == "FinitePoset(3 elements)"
+
+    @settings(max_examples=300, deadline=None)
+    @given(cover_inputs())
+    def test_agrees_with_the_reference_closure(self, drawn):
+        elements, covers = drawn
+        try:
+            expected = reference_up_sets(elements, covers)
+        except (InvalidValue, UnknownElement, CyclicOrder) as exc:
+            with pytest.raises(type(exc)) as got:
+                make_poset(elements, covers)
+            assert str(got.value) == str(exc)
+            return
+        poset = make_poset(elements, covers)
+        assert poset.elements == tuple(elements)
+        for x in elements:
+            assert poset.up_set(x) == expected[x]
+            for y in elements:
+                assert poset.leq(x, y) == (y in expected[x])
 
 
 class TestEndoMap:
@@ -281,12 +389,68 @@ class TestRandomGeneration:
     def test_random_posets_satisfy_the_axioms(self, seed):
         _assert_poset_axioms(random_poset(seed, 8))
 
+    def test_random_posets_close_their_draws_in_index_order(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 64)
+            density = rng.uniform(0.1, 0.6)
+            succ = [[j for j in range(i + 1, n) if rng.random() < density]
+                    for i in range(n)]
+            up = [0] * n
+            for i in reversed(range(n)):
+                up[i] = 1 << i
+                for j in succ[i]:
+                    up[i] |= up[j]
+            poset = random_poset(seed, 64)
+            assert poset.elements == tuple(f"p{i}" for i in range(n))
+            for i, x in enumerate(poset.elements):
+                assert poset.up_set(x) == {
+                    y for j, y in enumerate(poset.elements) if up[i] >> j & 1}
+
     @pytest.mark.parametrize("seed", range(10))
     def test_endomaps_are_total(self, seed):
         poset = random_poset(seed, 8)
         g = random_endomap(seed * 31, poset)
         for x in poset.elements:
             poset.check_element(g(x))
+
+
+def all_posets(n: int) -> list[FinitePoset]:
+    """Every partial order on n labelled elements, once each.
+
+    Each order is the closure of some acyclic set of cover pairs, so
+    closing every subset of the n(n-1) ordered pairs and keeping one
+    poset per distinct order finds them all.
+    """
+    elements = tuple("abcd"[:n])
+    pairs = list(itertools.permutations(elements, 2))
+    orders = {}
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        covers = list(itertools.compress(pairs, chosen))
+        try:
+            poset = make_poset(elements, covers)
+        except CyclicOrder:
+            continue
+        orders.setdefault(tuple(poset.up_set(x) for x in elements), poset)
+    return list(orders.values())
+
+
+class TestExhaustive:
+    """The two readings agree on every poset of at most four elements
+    and every self-map of it, strict and not."""
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 19), (4, 219)])
+    def test_every_small_poset_and_endomap(self, n, count):
+        posets = all_posets(n)
+        assert len(posets) == count
+        for poset in posets:
+            elements = poset.elements
+            for image in itertools.product(elements, repeat=n):
+                g = EndoMap(poset, dict(zip(elements, image)))
+                assert theorem_check(poset, g, strict=True), (poset, g)
+                assert theorem_check(poset, g, strict=False), (poset, g)
+                assert dfbf_domain(poset, DomainSpec(lower=g, upper=g)) == \
+                    fixed_point_domain(poset, g), (poset, g)
 
 
 class TestPosetFile:

@@ -430,6 +430,15 @@ class TestRealDomain:
         with pytest.raises(ValueError):
             real_domain(parse_expr("1"), None, tol=0.0)
 
+    def test_grid_cap(self, monkeypatch):
+        with pytest.raises(InvalidValue, match="at most 1000000 samples"):
+            real_domain(parse_expr("1"), None, grid_n=realline.MAX_GRID_N + 1)
+        monkeypatch.setattr(realline, "MAX_GRID_N", 9)
+        report = real_domain(parse_expr("1"), None, window=(0.0, 4.0), grid_n=9)
+        assert report.sample_count == 9
+        with pytest.raises(InvalidValue):
+            real_domain(parse_expr("1"), None, window=(0.0, 4.0), grid_n=10)
+
     def test_negative_tolerance_is_an_input_error(self):
         with pytest.raises(InvalidValue):
             real_domain(parse_expr("1"), None, tol=-1.0)

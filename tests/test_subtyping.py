@@ -11,6 +11,8 @@ from dfblang.classtable import (
     UnknownClass,
     build_table,
 )
+from dfblang import subtyping
+from dfblang.errors import InvalidValue
 from dfblang.subtyping import (
     enumerate_ground,
     export_graph,
@@ -130,6 +132,34 @@ class TestEnumerateGround:
     def test_negative_depth_rejected(self, enum_table):
         with pytest.raises(ValueError):
             enumerate_ground(enum_table, -1)
+
+    def test_node_budget_admits_exactly_its_count(self, showcase_table,
+                                                   monkeypatch):
+        # The count is predicted before anything is built, so the budget
+        # must match the real size: 146 nodes at depth 2.
+        monkeypatch.setattr(subtyping, "MAX_GRAPH_NODES", 146)
+        assert len(enumerate_ground(showcase_table, 2)) == 146
+        monkeypatch.setattr(subtyping, "MAX_GRAPH_NODES", 145)
+        with pytest.raises(InvalidValue, match="more than 145 ground types"):
+            enumerate_ground(showcase_table, 2)
+
+    def test_node_budget_counts_higher_arities(self, monkeypatch):
+        table = build_table(parse_program("class P<A, B> {}\nclass K {}"))
+        # n(0) = 3 (Null, Object, K); n(1) = 3 + 3 * 3 = 12.
+        monkeypatch.setattr(subtyping, "MAX_GRAPH_NODES", 12)
+        assert len(enumerate_ground(table, 1)) == 12
+        with pytest.raises(InvalidValue):
+            enumerate_ground(table, 2)
+
+    @pytest.mark.parametrize("depth", [6, 10**9])
+    def test_depth_past_the_budget_is_rejected(self, showcase_table, depth):
+        # Showcase depth 5 (74898 nodes) fits; depth 6 would be 599186.
+        with pytest.raises(InvalidValue, match=f"depth {depth} enumerates"):
+            enumerate_ground(showcase_table, depth)
+
+    def test_nullary_tables_take_any_depth(self):
+        table = build_table(parse_program("class K {}"))
+        assert enumerate_ground(table, 10**9) == {NULL, OBJECT, App("K")}
 
 
 def _reachable(graph):
