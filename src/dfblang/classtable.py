@@ -17,9 +17,8 @@ contains it, so no finite argument can ever satisfy the class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DfbError
+from .record import Record, set_field
 from .syntax import (
     App,
     ClassDecl,
@@ -90,27 +89,46 @@ class NoSuperclass(DfbError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """A non-fatal finding attached to a declaration."""
 
-    severity: str
-    class_name: str
-    message: str
+    __match_args__ = ("severity", "class_name", "message")
+
+    def __init__(self, severity: str, class_name: str, message: str):
+        set_field(self, "severity", severity)
+        set_field(self, "class_name", class_name)
+        set_field(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.severity}: class {self.class_name}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ClassInfo:
+class ClassInfo(Record):
     """One class as the checker sees it, bounds and superclass normalized."""
 
-    name: str
-    param_names: tuple[str, ...]
-    lowers: tuple[TypeExpr, ...]
-    uppers: tuple[TypeExpr, ...]
-    extends_clause: TypeExpr | None  # None only for Object and Null
+    __slots__ = ("name", "param_names", "lowers", "uppers", "extends_clause")
+    __match_args__ = __slots__
+
+    def __init__(self, name: str, param_names: tuple[str, ...],
+                 lowers: tuple[TypeExpr, ...], uppers: tuple[TypeExpr, ...],
+                 extends_clause: TypeExpr | None):  # None only for Object and Null
+        set_field(self, "name", name)
+        set_field(self, "param_names", param_names)
+        set_field(self, "lowers", lowers)
+        set_field(self, "uppers", uppers)
+        set_field(self, "extends_clause", extends_clause)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.param_names, self.lowers, self.uppers,
+                 self.extends_clause)
+                == (other.name, other.param_names, other.lowers,  # type: ignore[attr-defined]
+                    other.uppers, other.extends_clause))  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.param_names, self.lowers, self.uppers,
+                     self.extends_clause))
 
     @property
     def arity(self) -> int:
@@ -121,12 +139,15 @@ _OBJECT_INFO = ClassInfo("Object", (), (), (), None)
 _NULL_INFO = ClassInfo("Null", (), (), (), None)
 
 
-@dataclass(frozen=True)
-class ClassTable:
+class ClassTable(Record):
     """All classes of a program, keyed by name, plus build-time warnings."""
 
-    infos: dict[str, ClassInfo]
-    warnings: tuple[Diagnostic, ...] = ()
+    __match_args__ = ("infos", "warnings")
+
+    def __init__(self, infos: dict[str, ClassInfo],
+                 warnings: tuple[Diagnostic, ...] = ()):
+        set_field(self, "infos", infos)
+        set_field(self, "warnings", warnings)
 
     def __contains__(self, name: str) -> bool:
         return name in self.infos

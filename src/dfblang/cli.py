@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from . import poset as posets
 from . import realline
@@ -34,7 +33,11 @@ EXIT_INTERNAL = 3
 
 def _read_source(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DfbError(f"{path}: not UTF-8 text: {exc.reason} "
+                           f"at byte {exc.start}") from None
 
 
 def _load_table(path: str) -> ClassTable:
@@ -275,6 +278,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:
+        import traceback  # only an internal error needs it
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 
 from .errors import DfbError, InvalidValue
+from .record import Record, set_field
 
 MAX_ELEMENTS = 64
 
@@ -178,31 +178,34 @@ class EndoMap:
         return f"EndoMap({body})"
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(Record):
     """Which bounds constrain the argument, and whether strictly.
 
     At least one bound must be present; a strict flag on an absent bound
     is meaningless and rejected.
     """
 
-    lower: EndoMap | None = None
-    upper: EndoMap | None = None
-    strict_lower: bool = False
-    strict_upper: bool = False
+    __match_args__ = ("lower", "upper", "strict_lower", "strict_upper")
 
-    def __post_init__(self) -> None:
-        if self.lower is None and self.upper is None:
+    def __init__(self, lower: EndoMap | None = None, upper: EndoMap | None = None,
+                 strict_lower: bool = False, strict_upper: bool = False):
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
+        set_field(self, "strict_lower", strict_lower)
+        set_field(self, "strict_upper", strict_upper)
+        if lower is None and upper is None:
             raise ValueError("at least one bound is required")
-        if self.strict_lower and self.lower is None:
+        if strict_lower and lower is None:
             raise ValueError("strict_lower without a lower bound")
-        if self.strict_upper and self.upper is None:
+        if strict_upper and upper is None:
             raise ValueError("strict_upper without an upper bound")
 
 
-@dataclass(frozen=True)
-class DomainResult:
-    members: frozenset[str]
+class DomainResult(Record):
+    __match_args__ = ("members",)
+
+    def __init__(self, members: frozenset[str]):
+        set_field(self, "members", members)
 
 
 def dfbf_domain(poset: FinitePoset, spec: DomainSpec) -> DomainResult:
@@ -324,6 +327,11 @@ def load_poset_file(path: str) -> tuple[FinitePoset, dict[str, EndoMap]]:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise PosetFileError(f"{path}: not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise PosetFileError(f"{path}: not UTF-8 text: {exc.reason} "
+                                 f"at byte {exc.start}") from None
+        except RecursionError:
+            raise PosetFileError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise PosetFileError(f"{path}: top level must be an object")
     unknown = set(data) - {"elements", "covers", "maps"}

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable
 
 from .errors import DfbError, InvalidValue, ParseError
+from .record import Record, set_field
 from .syntax import MAX_NESTING
 
 
@@ -52,55 +52,56 @@ class EmptyWindow(DfbError):
 # Expressions
 
 
-class _Node:
+class _Node(Record):
     """Base of the expression nodes: each compiles once, on first use.
 
-    The closure is cached in the instance dict, not in a dataclass field,
-    so equality, hashing and repr never see it.
+    The closure is cached in the instance dict, not in a field, so
+    equality, hashing, repr and pickling never see it.
     """
 
     @cached_property
     def _closure(self) -> Callable[[float], float]:
         return _compile(self)
 
-    def __getstate__(self) -> dict:  # closures do not pickle
-        return {k: v for k, v in self.__dict__.items() if k != "_closure"}
 
-
-@dataclass(frozen=True)
 class Num(_Node):
-    value: float
+    __match_args__ = ("value",)
+
+    def __init__(self, value: float):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class X(_Node):
     pass
 
 
-@dataclass(frozen=True)
 class SelfRef(_Node):
     """The literal token f(x): the function's own value at x."""
 
 
-@dataclass(frozen=True)
 class Neg(_Node):
-    operand: "Expr"
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        set_field(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class BinOp(_Node):
-    op: str  # '+', '-', '*', '/'
-    left: "Expr"
-    right: "Expr"
+    __match_args__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):  # op: '+', '-', '*', '/'
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Pow(_Node):
-    base: "Expr"
-    exponent: int
+    __match_args__ = ("base", "exponent")
 
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
+    def __init__(self, base: Expr, exponent: int):
+        set_field(self, "base", base)
+        set_field(self, "exponent", exponent)
+        if exponent < 0:
             raise ValueError("exponents must be nonnegative integers")
 
 
@@ -347,32 +348,33 @@ def eval_expr(e: Expr, x: float) -> float:
 # Domains
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """[lo, hi], with flags marking ends that sit on the window edge.
 
     A flagged end means the true interval continues past the window and
     the number is merely where sampling stopped.
     """
 
-    lo: float
-    hi: float
-    touches_left_edge: bool = False
-    touches_right_edge: bool = False
+    __match_args__ = ("lo", "hi", "touches_left_edge", "touches_right_edge")
 
-    def __post_init__(self) -> None:
-        assert self.lo <= self.hi, "interval ends out of order"
+    def __init__(self, lo: float, hi: float, touches_left_edge: bool = False,
+                 touches_right_edge: bool = False):
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "touches_left_edge", touches_left_edge)
+        set_field(self, "touches_right_edge", touches_right_edge)
+        assert lo <= hi, "interval ends out of order"
 
     def __contains__(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
-class IntervalSet:
-    intervals: tuple[Interval, ...] = ()
+class IntervalSet(Record):
+    __match_args__ = ("intervals",)
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.intervals, self.intervals[1:]):
+    def __init__(self, intervals: tuple[Interval, ...] = ()):
+        set_field(self, "intervals", intervals)
+        for a, b in zip(intervals, intervals[1:]):
             assert a.hi < b.lo, "intervals must be disjoint and increasing"
 
     def __iter__(self):
@@ -385,19 +387,26 @@ class IntervalSet:
         return any(x in iv for iv in self.intervals)
 
 
-@dataclass(frozen=True)
-class SkippedSample:
-    x: float
-    reason: str
+class SkippedSample(Record):
+    __match_args__ = ("x", "reason")
+
+    def __init__(self, x: float, reason: str):
+        set_field(self, "x", x)
+        set_field(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class DomainReport:
-    intervals: IntervalSet
-    window: tuple[float, float]
-    tolerance: float
-    sample_count: int
-    skipped: tuple[SkippedSample, ...] = ()
+class DomainReport(Record):
+    __match_args__ = ("intervals", "window", "tolerance", "sample_count",
+                      "skipped")
+
+    def __init__(self, intervals: IntervalSet, window: tuple[float, float],
+                 tolerance: float, sample_count: int,
+                 skipped: tuple[SkippedSample, ...] = ()):
+        set_field(self, "intervals", intervals)
+        set_field(self, "window", window)
+        set_field(self, "tolerance", tolerance)
+        set_field(self, "sample_count", sample_count)
+        set_field(self, "skipped", skipped)
 
 
 DEFAULT_WINDOW = (-100.0, 100.0)
@@ -442,7 +451,7 @@ def real_domain(
     if grid_n > MAX_GRID_N:
         raise InvalidValue(
             f"the grid allows at most {MAX_GRID_N} samples, got {grid_n}")
-    if tol <= 0:
+    if not tol > 0:  # also refuses NaN
         raise InvalidValue(f"the tolerance must be positive, got {tol}")
 
     skipped: list[SkippedSample] = []

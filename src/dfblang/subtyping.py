@@ -14,12 +14,12 @@ for inspection, the decision procedure itself never consults it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
 from .classtable import ClassTable, require_well_formed, superclass_of
 from .errors import InvalidValue
+from .record import Record, set_field
 from .syntax import App, NULL, OBJECT, TypeExpr, render
 
 # Ground types one enumeration may produce. Each depth level multiplies
@@ -85,12 +85,15 @@ def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
     return frozenset(current)
 
 
-@dataclass(frozen=True)
-class GroundGraph:
+class GroundGraph(Record):
     """The declared-subtype graph over an enumerated node set."""
 
-    nodes: frozenset[TypeExpr]
-    edges: frozenset[tuple[TypeExpr, TypeExpr]]
+    __match_args__ = ("nodes", "edges")
+
+    def __init__(self, nodes: frozenset[TypeExpr],
+                 edges: frozenset[tuple[TypeExpr, TypeExpr]]):
+        set_field(self, "nodes", nodes)
+        set_field(self, "edges", edges)
 
 
 def ground_graph(table: ClassTable, depth: int) -> GroundGraph:

@@ -24,14 +24,21 @@ may mention the parameter it precedes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from collections.abc import Container, Iterable, Iterator
+from operator import attrgetter
 
 from .errors import ParseError
+from .record import Record, set_field
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEYWORDS = frozenset({"class", "extends", "super"})
-_PUNCT = frozenset({"<", ">", ",", "{", "}"})
+# Lexemes: an identifier or keyword, a punctuation mark, a newline, a
+# comment, or any other character that is not a blank (an error).
+# Blanks fall between matches.
+_LEXEME = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[<>,{}\n]|//[^\n]*|[^ \t\r]")
+_KINDS = {"class": "kw", "extends": "kw", "super": "kw", "<": "punct",
+          ">": "punct", ",": "punct", "{": "punct", "}": "punct", "\n": None}
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 # Deepest type-argument nesting the parser accepts. The tree walks over
 # types recurse once per level, so the cap keeps them clear of Python's
@@ -44,291 +51,347 @@ def _check_identifier(name: str) -> None:
         raise ValueError(f"invalid identifier: {name!r}")
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     """A reference to an in-scope type parameter."""
 
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        _check_identifier(self.name)
+    def __init__(self, name: str):
+        _check_identifier(name)
+        set_field(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class App:
-    """A class applied to type arguments; nullary applications are ground names."""
+class App(Record):
+    """A class applied to type arguments; nullary applications are ground names.
 
-    name: str
-    args: tuple["TypeExpr", ...] = ()
+    The hash is taken once, at construction, from the arguments' stored
+    hashes, so hashing a deeply nested type never recurses.
+    """
 
-    def __post_init__(self) -> None:
-        _check_identifier(self.name)
-        object.__setattr__(self, "args", tuple(self.args))
+    __slots__ = ("name", "args", "_hash")
+    __match_args__ = ("name", "args")
+
+    def __init__(self, name: str, args: Iterable[TypeExpr] = ()):
+        _check_identifier(name)
+        args = tuple(args)
+        set_field(self, "name", name)
+        set_field(self, "args", args)
+        set_field(self, "_hash", hash((name, args)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash  # type: ignore[attr-defined]
+            and self.name == other.name  # type: ignore[attr-defined]
+            and self.args == other.args)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return render(self)
 
 
-TypeExpr = Union[Var, App]
+TypeExpr = Var | App
 
 NULL = App("Null")
 OBJECT = App("Object")
 
 
-@dataclass(frozen=True)
-class TypeParamDecl:
+class TypeParamDecl(Record):
     """One declared type parameter with optional bounds.
 
     Absent bounds stay ``None`` here; the class table is what fills in
     the Null and Object defaults.
     """
 
-    name: str
-    lower: TypeExpr | None = None
-    upper: TypeExpr | None = None
+    __slots__ = ("name", "lower", "upper")
+    __match_args__ = ("name", "lower", "upper")
 
-    def __post_init__(self) -> None:
-        _check_identifier(self.name)
+    def __init__(self, name: str, lower: TypeExpr | None = None,
+                 upper: TypeExpr | None = None):
+        _check_identifier(name)
+        set_field(self, "name", name)
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.lower, self.upper)
+                == (other.name, other.lower, other.upper))  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.lower, self.upper))
 
 
-@dataclass(frozen=True)
-class ClassDecl:
+class ClassDecl(Record):
     """A single class declaration.
 
     ``pos`` records the source line and column of the ``class`` keyword
     for diagnostics; it does not participate in structural equality.
     """
 
-    name: str
-    params: tuple[TypeParamDecl, ...] = ()
-    extends_clause: TypeExpr | None = None
-    pos: tuple[int, int] | None = field(default=None, compare=False)
+    __slots__ = ("name", "params", "extends_clause", "pos")
+    __match_args__ = ("name", "params", "extends_clause", "pos")
 
-    def __post_init__(self) -> None:
-        _check_identifier(self.name)
-        object.__setattr__(self, "params", tuple(self.params))
-        names = [p.name for p in self.params]
+    def __init__(self, name: str, params: Iterable[TypeParamDecl] = (),
+                 extends_clause: TypeExpr | None = None,
+                 pos: tuple[int, int] | None = None):
+        _check_identifier(name)
+        params = tuple(params)
+        names = [p.name for p in params]
         if len(names) != len(set(names)):
-            raise ValueError(f"duplicate type parameter names in class {self.name}")
+            raise ValueError(f"duplicate type parameter names in class {name}")
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "extends_clause", extends_clause)
+        set_field(self, "pos", pos)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.params, self.extends_clause)
+                == (other.name, other.params, other.extends_clause))  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.params, self.extends_clause))
 
 
-@dataclass(frozen=True)
-class Program:
-    decls: tuple[ClassDecl, ...] = ()
+class Program(Record):
+    __slots__ = ("decls",)
+    __match_args__ = ("decls",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "decls", tuple(self.decls))
+    def __init__(self, decls: Iterable[ClassDecl] = ()):
+        set_field(self, "decls", tuple(decls))
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'ident' | 'kw' | 'punct' | 'eof'
-    text: str
-    line: int
-    column: int
+    """One lexeme; ``kind`` is 'ident', 'kw', 'punct' or 'eof'.
+
+    A program makes one token per lexeme, so a token keeps its fields in
+    private slots, set directly, behind read-only properties; otherwise
+    it behaves as a record does.
+    """
+
+    __slots__ = ("_kind", "_text", "_line", "_column")
+    __match_args__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self._kind = kind
+        self._text = text
+        self._line = line
+        self._column = column
+
+    kind = property(attrgetter("_kind"))
+    text = property(attrgetter("_text"))
+    line = property(attrgetter("_line"))
+    column = property(attrgetter("_column"))
+
+    def _fields(self) -> tuple[str, str, int, int]:
+        return self._kind, self._text, self._line, self._column
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    __repr__ = Record.__repr__
+    __reduce__ = Record.__reduce__
 
 
 def tokenize(source: str) -> list[Token]:
+    """Split ``source`` into tokens, ending with an 'eof' token.
+
+    Lines and columns count from 1, a tab or carriage return is one
+    column, and a comment runs to the end of its line. At the end of
+    input the column stays where a trailing comment began.
+    """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+    append = tokens.append
+    find = source.find
+    kinds = _KINDS
+    line, line_start, pos = 1, 0, 0
+    comment_line = comment_column = 0
+    # Only blanks lie between two lexemes, so each one is found at or
+    # after the end of the one before it.
+    for word in _LEXEME.findall(source):
+        pos = find(word, pos)
+        kind = kinds.get(word, "ident")
+        if kind is None:  # a newline
             line += 1
-            col = 1
+            pos += 1
+            line_start = pos
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT.match(source, i)
-        if m:
-            text = m.group()
-            kind = "kw" if text in _KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, col))
-            i = m.end()
-            col += len(text)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ident" and word[0] not in _LETTERS:
+            if word[0] == "/" and len(word) > 1:
+                comment_line, comment_column = line, pos - line_start + 1
+                continue
+            raise ParseError(f"unexpected character {word!r}",
+                             line, pos - line_start + 1)
+        append(Token(kind, word, line, pos - line_start + 1))
+        pos += len(word)
+    if comment_line == line:
+        column = comment_column
+    else:
+        column = len(source) - line_start + 1
+    append(Token("eof", "", line, column))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser
+#
+# Recursive descent over the token list. Each production takes the index
+# of its first token and returns what it parsed together with the index
+# just past it; it never moves past the 'eof' token. Keyword and
+# punctuation texts cannot be identifiers, so a token's text alone tells
+# them apart.
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+def _fail(tok: Token, expected: tuple[str, ...]) -> None:
+    shown = tok._text if tok._kind != "eof" else "end of input"
+    raise ParseError(f"unexpected {shown!r}", tok._line, tok._column,
+                     frozenset(expected))
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if self.at(kind, text):
-            return self.advance()
-        expected = text if text is not None else f"<{kind}>"
-        self.fail({expected})
-
-    def fail(self, expected: set[str]) -> None:
-        tok = self.peek()
-        shown = tok.text if tok.kind != "eof" else "end of input"
+def _parse_type(tokens: list[Token], i: int, scope: Container[str],
+                depth: int = 0) -> tuple[TypeExpr, int]:
+    tok = tokens[i]
+    if tok._kind != "ident":
+        _fail(tok, ("<ident>",))
+    name = tok._text
+    i += 1
+    tok = tokens[i]
+    if tok._text != "<":
+        return (Var(name) if name in scope else App(name)), i
+    if depth == MAX_NESTING:
         raise ParseError(
-            f"unexpected {shown!r}", tok.line, tok.column, frozenset(expected)
-        )
+            f"type arguments nested deeper than {MAX_NESTING} levels",
+            tok._line, tok._column)
+    args = []
+    while True:
+        arg, i = _parse_type(tokens, i + 1, scope, depth + 1)
+        args.append(arg)
+        tok = tokens[i]
+        if tok._text != ",":
+            break
+    if tok._text != ">":
+        _fail(tok, (">",))
+    return App(name, args), i + 1
 
-    # -- grammar productions ------------------------------------------------
 
-    def parse_program(self) -> Program:
-        decls = []
-        while not self.at("eof"):
-            decls.append(self.parse_decl())
-        return Program(tuple(decls))
+def _bare_name(expr: TypeExpr, tok: Token) -> str:
+    if isinstance(expr, App) and not expr.args:
+        return expr.name
+    raise ParseError(f"expected a bare parameter name, got {render(expr)!r}",
+                     tok._line, tok._column)
 
-    def parse_decl(self) -> ClassDecl:
-        kw = self.expect("kw", "class")
-        name = self.expect("ident").text
-        params: tuple[TypeParamDecl, ...] = ()
-        if self.at("punct", "<"):
-            params = self.parse_params()
-        extends_clause: TypeExpr | None = None
-        if self.at("kw", "extends"):
-            self.advance()
-            extends_clause = self.parse_type_expr()
-        self.expect("punct", "{")
-        self.expect("punct", "}")
-        # Bound expressions were parsed before the full parameter list was
-        # known, so rebind bare names to the declaration's scope now.
-        scope = frozenset(p.name for p in params)
-        params = tuple(
-            TypeParamDecl(
-                p.name, _scope_names(p.lower, scope), _scope_names(p.upper, scope)
-            )
-            for p in params
-        )
-        extends_clause = _scope_names(extends_clause, scope)
-        return ClassDecl(name, params, extends_clause, pos=(kw.line, kw.column))
 
-    def parse_params(self) -> tuple[TypeParamDecl, ...]:
-        self.expect("punct", "<")
-        params = [self.parse_param()]
-        seen = {params[0].name}
+def _parse_param(tokens: list[Token], i: int):
+    # Either `LB extends T extends UB` (sandwich) or
+    # `T [extends UB] [super LB]` (keyword form). Both start with a
+    # type; two `extends` in a row is what makes it a sandwich. Bounds
+    # are read before the whole parameter list is known, so they come
+    # back unscoped.
+    first_tok = tokens[i]
+    first, i = _parse_type(tokens, i, ())
+    lower = upper = None
+    if tokens[i]._text == "extends":
+        mid_tok = tokens[i + 1]
+        mid, i = _parse_type(tokens, i + 1, ())
+        if tokens[i]._text == "extends":
+            name = _bare_name(mid, mid_tok)
+            upper, i = _parse_type(tokens, i + 1, ())
+            return name, first, upper, i
+        upper = mid
+    name = _bare_name(first, first_tok)
+    if tokens[i]._text == "super":
+        lower, i = _parse_type(tokens, i + 1, ())
+    return name, lower, upper, i
+
+
+def _parse_decl(tokens: list[Token], i: int) -> tuple[ClassDecl, int]:
+    kw = tokens[i]
+    if kw._text != "class":
+        _fail(kw, ("class",))
+    tok = tokens[i + 1]
+    if tok._kind != "ident":
+        _fail(tok, ("<ident>",))
+    name = tok._text
+    i += 2
+    params: list[TypeParamDecl] = []
+    scope: set[str] = set()
+    if tokens[i]._text == "<":
+        parsed = []
         while True:
-            if self.at("punct", ">"):
-                self.advance()
-                return tuple(params)
-            if not self.at("punct", ","):
-                self.fail({",", ">"})
-            self.advance()
-            tok = self.peek()
-            param = self.parse_param()
-            if param.name in seen:
-                raise ParseError(
-                    f"duplicate type parameter {param.name!r}", tok.line, tok.column
-                )
-            seen.add(param.name)
-            params.append(param)
-
-    def parse_param(self) -> TypeParamDecl:
-        # Either `LB extends T extends UB` (sandwich) or
-        # `T [extends UB] [super LB]` (keyword form). Both start with a
-        # type; two `extends` in a row is what makes it a sandwich.
-        first_tok = self.peek()
-        first = self.parse_type_expr()
-        if self.at("kw", "extends"):
-            self.advance()
-            mid_tok = self.peek()
-            mid = self.parse_type_expr()
-            if self.at("kw", "extends"):
-                self.advance()
-                name = self._bare_name(mid, mid_tok, "parameter name")
-                upper = self.parse_type_expr()
-                return TypeParamDecl(name, lower=first, upper=upper)
-            name = self._bare_name(first, first_tok, "parameter name")
-            lower = None
-            if self.at("kw", "super"):
-                self.advance()
-                lower = self.parse_type_expr()
-            return TypeParamDecl(name, lower=lower, upper=mid)
-        if self.at("kw", "super"):
-            self.advance()
-            name = self._bare_name(first, first_tok, "parameter name")
-            return TypeParamDecl(name, lower=self.parse_type_expr())
-        name = self._bare_name(first, first_tok, "parameter name")
-        return TypeParamDecl(name)
-
-    def parse_type_expr(self, depth: int = 0) -> TypeExpr:
-        name = self.expect("ident").text
-        args: tuple[TypeExpr, ...] = ()
-        if self.at("punct", "<"):
-            if depth == MAX_NESTING:
-                tok = self.peek()
-                raise ParseError(
-                    f"type arguments nested deeper than {MAX_NESTING} levels",
-                    tok.line, tok.column)
-            self.advance()
-            collected = [self.parse_type_expr(depth + 1)]
-            while self.at("punct", ","):
-                self.advance()
-                collected.append(self.parse_type_expr(depth + 1))
-            self.expect("punct", ">")
-            args = tuple(collected)
-        return App(name, args)
-
-    @staticmethod
-    def _bare_name(expr: TypeExpr, tok: Token, what: str) -> str:
-        if isinstance(expr, App) and not expr.args:
-            return expr.name
-        raise ParseError(f"expected a bare {what}, got {render(expr)!r}",
-                         tok.line, tok.column)
+            tok = tokens[i + 1]
+            pname, lower, upper, i = _parse_param(tokens, i + 1)
+            if pname in scope:
+                raise ParseError(f"duplicate type parameter {pname!r}",
+                                 tok._line, tok._column)
+            scope.add(pname)
+            parsed.append((pname, lower, upper))
+            tok = tokens[i]
+            if tok._text == ">":
+                break
+            if tok._text != ",":
+                _fail(tok, (",", ">"))
+        i += 1
+        params = [TypeParamDecl(pname, _scope_names(lower, scope),
+                                _scope_names(upper, scope))
+                  for pname, lower, upper in parsed]
+    extends_clause = None
+    if tokens[i]._text == "extends":
+        extends_clause, i = _parse_type(tokens, i + 1, scope)
+    if tokens[i]._text != "{":
+        _fail(tokens[i], ("{",))
+    if tokens[i + 1]._text != "}":
+        _fail(tokens[i + 1], ("}",))
+    return ClassDecl(name, params, extends_clause, (kw._line, kw._column)), i + 2
 
 
-def _scope_names(expr: TypeExpr | None, scope: frozenset[str]) -> TypeExpr | None:
+def _scope_names(expr: TypeExpr | None, scope: set[str]) -> TypeExpr | None:
     """Rewrite nullary applications of in-scope parameter names to variables."""
-    if expr is None:
-        return None
+    if expr is None or not scope:
+        return expr
     if isinstance(expr, Var):
         return expr
     if not expr.args:
         return Var(expr.name) if expr.name in scope else expr
-    return App(expr.name, tuple(_scope_names(a, scope) for a in expr.args))
+    return App(expr.name, [_scope_names(a, scope) for a in expr.args])
 
 
 def parse_program(source: str) -> Program:
     """Parse a whole program; raises :class:`ParseError` on rejection."""
-    parser = _Parser(tokenize(source))
-    return parser.parse_program()
+    tokens = tokenize(source)
+    last = len(tokens) - 1
+    decls = []
+    i = 0
+    while i < last:
+        decl, i = _parse_decl(tokens, i)
+        decls.append(decl)
+    return Program(decls)
 
 
 def parse_type(source: str, scope: frozenset[str] = frozenset()) -> TypeExpr:
@@ -338,11 +401,11 @@ def parse_type(source: str, scope: frozenset[str] = frozenset()) -> TypeExpr:
     become nullary class applications, which is the right reading for
     ground query types (the default, empty scope).
     """
-    parser = _Parser(tokenize(source))
-    expr = parser.parse_type_expr()
-    if not parser.at("eof"):
-        parser.fail({"end of input"})
-    return _scope_names(expr, scope)
+    tokens = tokenize(source)
+    expr, i = _parse_type(tokens, 0, scope)
+    if i != len(tokens) - 1:
+        _fail(tokens[i], ("end of input",))
+    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +413,29 @@ def parse_type(source: str, scope: frozenset[str] = frozenset()) -> TypeExpr:
 
 
 def render(t: TypeExpr) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.name
-    return f"{t.name}<{', '.join(render(a) for a in t.args)}>"
+    """Canonical text of a type, built without recursion.
+
+    A type substituted into a bound nests deeper than either, so the
+    walk keeps its own stack of pending pieces: types still to render
+    and the literal text between them.
+    """
+    out: list[str] = []
+    pending: list[TypeExpr | str] = [t]
+    while pending:
+        item = pending.pop()
+        if item.__class__ is str:
+            out.append(item)  # type: ignore[arg-type]
+            continue
+        out.append(item.name)  # type: ignore[union-attr]
+        args = getattr(item, "args", ())
+        if args:
+            out.append("<")
+            pending.append(">")
+            for arg in reversed(args[1:]):
+                pending.append(arg)
+                pending.append(", ")
+            pending.append(args[0])
+    return "".join(out)
 
 
 def render_param(p: TypeParamDecl) -> str:

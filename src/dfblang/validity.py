@@ -21,10 +21,10 @@ re-check ever happens and that the query count stays at most
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .classtable import ClassTable, IllFormedType, bounds_of, require_well_formed
 from .errors import DfbError
+from .record import Record, set_field
 from .subtyping import is_subtype
 from .syntax import App, TypeExpr, Var, render
 
@@ -53,14 +53,30 @@ class Context(enum.Enum):
     BOUND = "bound"
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    """One subtype query, tagged with the instantiation that issued it."""
+class QueryRecord(Record):
+    """One subtype query, tagged with the instantiation that issued it.
 
-    left: TypeExpr
-    right: TypeExpr
-    subject: TypeExpr
-    origin: str  # Context value of the judgement that asked
+    ``origin`` is the Context value of the judgement that asked.
+    """
+
+    __slots__ = ("left", "right", "subject", "origin")
+    __match_args__ = __slots__
+
+    def __init__(self, left: TypeExpr, right: TypeExpr, subject: TypeExpr,
+                 origin: str):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "subject", subject)
+        set_field(self, "origin", origin)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.left, self.right, self.subject, self.origin)
+                == (other.left, other.right, other.subject, other.origin))  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right, self.subject, self.origin))
 
     def as_dict(self) -> dict[str, str]:
         return {
@@ -71,17 +87,28 @@ class QueryRecord:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: Status
-    reasons: tuple[str, ...] = ()
-    query_log: tuple[QueryRecord, ...] = ()
+class Verdict(Record):
+    __slots__ = ("status", "reasons", "query_log")
+    __match_args__ = __slots__
 
-    def __post_init__(self) -> None:
-        if self.status is Status.INVALID:
-            assert self.reasons, "an invalid verdict must carry reasons"
+    def __init__(self, status: Status, reasons: tuple[str, ...] = (),
+                 query_log: tuple[QueryRecord, ...] = ()):
+        if status is Status.INVALID:
+            assert reasons, "an invalid verdict must carry reasons"
         else:
-            assert not self.reasons, "only invalid verdicts carry reasons"
+            assert not reasons, "only invalid verdicts carry reasons"
+        set_field(self, "status", status)
+        set_field(self, "reasons", reasons)
+        set_field(self, "query_log", query_log)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.status, self.reasons, self.query_log)
+                == (other.status, other.reasons, other.query_log))  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.status, self.reasons, self.query_log))
 
     @property
     def is_valid(self) -> bool:

@@ -202,6 +202,22 @@ def _draws_past_the_cap(seed: int) -> bool:
 THEOREM_SEED = next(s for s in range(100) if _draws_past_the_cap(s))
 
 
+def _unreadable_files(tmp_path) -> dict[str, str]:
+    """Input files no command can read, by placeholder name."""
+    files = {
+        "dup": '{"elements": ["a", "b", "a"], "covers": [], "maps": {}}'.encode(),
+        "latin": "class Caf\u00e9 {}\n".encode("latin-1"),
+        "latin_json": '{"elements": ["\u00e9"], "maps": {}}'.encode("latin-1"),
+        "deep_json": b"[" * 100_000 + b"]" * 100_000,
+    }
+    paths = {}
+    for name, data in files.items():
+        path = tmp_path / f"{name}.in"
+        path.write_bytes(data)
+        paths[name] = str(path)
+    return paths
+
+
 @pytest.mark.parametrize("argv, code, out", [
     (("graph", "{enum}", "--depth", "-1"), 2, ""),
     (("poset", "domain", "{dup}", "--upper", "m"), 2, ""),
@@ -216,14 +232,20 @@ THEOREM_SEED = next(s for s in range(100) if _draws_past_the_cap(s))
     (("real", "--upper=" + "-" * 3000 + "x"), 2, ""),
     (("graph", "{enum}", "--depth", "1000000000"), 2, ""),
     (("real", "--upper", "x", "--grid", "1000001"), 2, ""),
+    (("check", "{latin}"), 2, ""),
+    (("graph", "{latin}"), 2, ""),
+    (("poset", "domain", "{latin_json}", "--upper", "m"), 2, ""),
+    (("poset", "theorem", "{latin_json}", "--map", "m"), 2, ""),
+    (("poset", "domain", "{deep_json}", "--upper", "m"), 2, ""),
+    (("real", "--upper", "x", "--tol", "nan"), 2, ""),
 ], ids=["negative-depth", "duplicate-labels", "grid-1", "max-size-100",
         "nested-3000", "tol-1e-20", "parens-200", "sum-1000", "minus-3000",
-        "depth-1e9", "grid-1000001"])
+        "depth-1e9", "grid-1000001", "check-not-utf8", "graph-not-utf8",
+        "domain-not-utf8", "theorem-not-utf8", "json-nested-100000", "tol-nan"])
 def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
                                                 tmp_path):
-    dup = tmp_path / "dup.json"
-    dup.write_text('{"elements": ["a", "b", "a"], "covers": [], "maps": {}}')
-    argv = [a.format(enum=enum_file, dup=dup) for a in argv]
+    files = _unreadable_files(tmp_path)
+    argv = [a.format(enum=enum_file, **files) for a in argv]
     result = run_cli_process(*argv)
     assert result.returncode == code, result.stderr
     assert result.stdout == out
@@ -251,3 +273,50 @@ def test_cycle_message_does_not_depend_on_the_hash_seed(tmp_path):
     }
     assert results == {
         (2, "", f"error: {path}: cover relation has a cycle: b <= d <= b\n")}
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("check", "{latin}"), "not UTF-8 text"),
+    (("graph", "{latin}", "--depth", "0"), "not UTF-8 text"),
+    (("poset", "domain", "{latin_json}", "--upper", "m"), "not UTF-8 text"),
+    (("poset", "theorem", "{latin_json}", "--map", "m"), "not UTF-8 text"),
+    (("poset", "domain", "{deep_json}", "--upper", "m"), "JSON nested too deeply"),
+], ids=["check", "graph", "domain", "theorem", "deep-json"])
+def test_unreadable_files_are_named_in_the_error(argv, reason, run_cli, tmp_path):
+    files = _unreadable_files(tmp_path)
+    argv = [a.format(**files) for a in argv]
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    path = next(a for a in argv if a in files.values())
+    assert err.startswith(f"error: {path}: {reason}")
+
+
+def _nested(head: str, depth: int, leaf: str) -> str:
+    return f"{head}<" * depth + leaf + ">" * depth
+
+
+@pytest.mark.parametrize("depth", [170, 199])
+def test_query_against_a_deep_self_bound_is_answered(tmp_path, depth):
+    # Substituting a query nested `depth` deep into a bound nested as deep
+    # gives a type nested about twice as deep; rendering and hashing it
+    # must not recurse once per level.
+    path = tmp_path / "deep.dfb"
+    path.write_text(f"class A<T extends {_nested('A', depth, 'T')}> {{}}\n")
+    result = run_cli_process("check", str(path), _nested("A", depth, "Object"))
+    assert result.returncode == 1, result.stderr[-500:]
+    assert result.stdout.startswith("invalid\n")
+    assert "Traceback" not in result.stderr
+
+
+def test_graph_over_a_chain_of_deep_superclasses(tmp_path):
+    # Each class extends the one before nested 199 deep, so the superclass
+    # chain of K4<Object> reaches types nested hundreds of levels deep.
+    lines = ["class K1<T> {}"]
+    for k in range(2, 5):
+        lines.append(f"class K{k}<T> extends {_nested(f'K{k - 1}', 199, 'T')} {{}}")
+    path = tmp_path / "chain.dfb"
+    path.write_text("\n".join(lines) + "\n")
+    result = run_cli_process("graph", str(path), "--depth", "1")
+    assert result.returncode == 0, result.stderr[-500:]
+    assert '"K4<Object>" -> "Object";' in result.stdout
+    assert "Traceback" not in result.stderr

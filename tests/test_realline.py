@@ -443,6 +443,12 @@ class TestRealDomain:
         with pytest.raises(InvalidValue):
             real_domain(parse_expr("1"), None, tol=-1.0)
 
+    def test_nan_tolerance_is_an_input_error(self):
+        # NaN compares false with everything, so `tol <= 0` let it through
+        # and bisection never ran.
+        with pytest.raises(InvalidValue, match="got nan"):
+            real_domain(parse_expr("1"), None, tol=float("nan"))
+
     def test_unresolved_bounds_rejected(self):
         with pytest.raises(SelfReferenceInBody):
             real_domain(None, parse_expr("f(x)"))
