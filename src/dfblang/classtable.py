@@ -118,18 +118,6 @@ class ClassInfo(Record):
         set_field(self, "uppers", uppers)
         set_field(self, "extends_clause", extends_clause)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.param_names, self.lowers, self.uppers,
-                 self.extends_clause)
-                == (other.name, other.param_names, other.lowers,  # type: ignore[attr-defined]
-                    other.uppers, other.extends_clause))  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.param_names, self.lowers, self.uppers,
-                     self.extends_clause))
-
     @property
     def arity(self) -> int:
         return len(self.param_names)

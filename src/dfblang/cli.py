@@ -98,13 +98,14 @@ def _format_members(poset: posets.FinitePoset, members: frozenset[str]) -> str:
     return "{" + ", ".join(ordered) + "}"
 
 
-def _pick_map(maps: dict[str, posets.EndoMap], name: str) -> posets.EndoMap:
+def _pick_map(maps: dict[str, posets.EndoMap], name: str,
+              path: str) -> posets.EndoMap:
     try:
         return maps[name]
     except KeyError:
         known = ", ".join(sorted(maps)) or "none"
         raise posets.PosetFileError(
-            f"no map named {name!r} in file (have: {known})") from None
+            f"{path}: no map named {name!r} (have: {known})") from None
 
 
 def _cmd_poset_domain(args: argparse.Namespace) -> int:
@@ -112,8 +113,8 @@ def _cmd_poset_domain(args: argparse.Namespace) -> int:
     if args.lower is None and args.upper is None:
         raise posets.PosetFileError("give at least one of --lower / --upper")
     spec = posets.DomainSpec(
-        lower=_pick_map(maps, args.lower) if args.lower else None,
-        upper=_pick_map(maps, args.upper) if args.upper else None,
+        lower=_pick_map(maps, args.lower, args.file) if args.lower else None,
+        upper=_pick_map(maps, args.upper, args.file) if args.upper else None,
         strict_lower=args.strict and args.lower is not None,
         strict_upper=args.strict and args.upper is not None,
     )
@@ -140,7 +141,7 @@ def _cmd_poset_theorem(args: argparse.Namespace) -> int:
         raise posets.PosetFileError(
             "give a poset file with --map NAME, or --random N")
     poset, maps = posets.load_poset_file(args.file)
-    g = _pick_map(maps, args.map)
+    g = _pick_map(maps, args.map, args.file)
     if posets.theorem_check(poset, g, args.strict):
         print("pass")
         return EXIT_OK

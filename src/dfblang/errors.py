@@ -8,6 +8,8 @@ programming errors keep raising the usual builtins.
 
 from __future__ import annotations
 
+from .record import Record
+
 
 class DfbError(Exception):
     """Base class for all input-level errors raised by this package."""
@@ -22,7 +24,8 @@ class ParseError(DfbError):
 
     ``expected`` holds the token texts the parser would have accepted at
     that point; it may be empty when the failure is lexical. Two errors
-    are equal when all four fields are.
+    are equal when all four fields are; like any exception, an error
+    stays mutable, so it has no hash.
     """
 
     __match_args__ = ("message", "line", "column", "expected")
@@ -35,18 +38,9 @@ class ParseError(DfbError):
         self.column = column
         self.expected = expected
 
-    def _fields(self) -> tuple:
-        return self.message, self.line, self.column, self.expected
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()  # type: ignore[attr-defined]
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(message={self.message!r}, "
-                f"line={self.line!r}, column={self.column!r}, "
-                f"expected={self.expected!r})")
+    _fields = Record._fields
+    __eq__ = Record.__eq__
+    __repr__ = Record.__repr__
 
     def __str__(self) -> str:
         text = f"{self.line}:{self.column}: {self.message}"

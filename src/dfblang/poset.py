@@ -74,9 +74,6 @@ class FinitePoset:
             raise UnknownElement(exc.args[0]) from None
         return self._up[i] >> j & 1 == 1
 
-    def lt(self, x: str, y: str) -> bool:
-        return x != y and self.leq(x, y)
-
     def up_set(self, x: str) -> frozenset[str]:
         self.check_element(x)
         mask = self._up[self._index[x]]
@@ -366,6 +363,6 @@ def load_poset_file(path: str) -> tuple[FinitePoset, dict[str, EndoMap]]:
             raise PosetFileError(f"{path}: map {name!r} must send labels to labels")
         try:
             maps[name] = EndoMap(poset, mapping)
-        except ValueError as exc:
+        except (ValueError, UnknownElement) as exc:
             raise PosetFileError(f"{path}: map {name!r}: {exc}") from None
     return poset, maps

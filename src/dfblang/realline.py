@@ -446,6 +446,8 @@ def real_domain(
     lo, hi = window
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise EmptyWindow(f"window [{lo}, {hi}] contains no interval")
+    if not math.isfinite(hi - lo):
+        raise InvalidValue(f"window [{lo}, {hi}] is wider than the float range")
     if grid_n < 2:
         raise InvalidValue(f"the grid needs at least 2 samples, got {grid_n}")
     if grid_n > MAX_GRID_N:

@@ -31,7 +31,6 @@ from .errors import ParseError
 from .record import Record, set_field
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_KEYWORDS = frozenset({"class", "extends", "super"})
 # Lexemes: an identifier or keyword, a punctuation mark, a newline, a
 # comment, or any other character that is not a blank (an error).
 # Blanks fall between matches.
@@ -60,14 +59,6 @@ class Var(Record):
     def __init__(self, name: str):
         _check_identifier(name)
         set_field(self, "name", name)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
@@ -128,15 +119,6 @@ class TypeParamDecl(Record):
         set_field(self, "lower", lower)
         set_field(self, "upper", upper)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.lower, self.upper)
-                == (other.name, other.lower, other.upper))  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.lower, self.upper))
-
 
 class ClassDecl(Record):
     """A single class declaration.
@@ -187,8 +169,8 @@ class Token:
     """One lexeme; ``kind`` is 'ident', 'kw', 'punct' or 'eof'.
 
     A program makes one token per lexeme, so a token keeps its fields in
-    private slots, set directly, behind read-only properties; otherwise
-    it behaves as a record does.
+    private slots, set directly, behind read-only properties, and borrows
+    ``Record``'s other methods.
     """
 
     __slots__ = ("_kind", "_text", "_line", "_column")
@@ -205,17 +187,9 @@ class Token:
     line = property(attrgetter("_line"))
     column = property(attrgetter("_column"))
 
-    def _fields(self) -> tuple[str, str, int, int]:
-        return self._kind, self._text, self._line, self._column
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
+    _fields = Record._fields
+    __eq__ = Record.__eq__
+    __hash__ = Record.__hash__
     __repr__ = Record.__repr__
     __reduce__ = Record.__reduce__
 

@@ -69,15 +69,6 @@ class QueryRecord(Record):
         set_field(self, "subject", subject)
         set_field(self, "origin", origin)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.left, self.right, self.subject, self.origin)
-                == (other.left, other.right, other.subject, other.origin))  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right, self.subject, self.origin))
-
     def as_dict(self) -> dict[str, str]:
         return {
             "left": render(self.left),
@@ -100,15 +91,6 @@ class Verdict(Record):
         set_field(self, "status", status)
         set_field(self, "reasons", reasons)
         set_field(self, "query_log", query_log)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.status, self.reasons, self.query_log)
-                == (other.status, other.reasons, other.query_log))  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((self.status, self.reasons, self.query_log))
 
     @property
     def is_valid(self) -> bool:

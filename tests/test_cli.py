@@ -203,9 +203,11 @@ THEOREM_SEED = next(s for s in range(100) if _draws_past_the_cap(s))
 
 
 def _unreadable_files(tmp_path) -> dict[str, str]:
-    """Input files no command can read, by placeholder name."""
+    """Input files no command can use as asked, by placeholder name."""
     files = {
         "dup": '{"elements": ["a", "b", "a"], "covers": [], "maps": {}}'.encode(),
+        "bad_map": '{"elements": ["a"], "maps": {"m": {"a": "zz"}}}'.encode(),
+        "one_map": '{"elements": ["a"], "maps": {"succ": {"a": "a"}}}'.encode(),
         "latin": "class Caf\u00e9 {}\n".encode("latin-1"),
         "latin_json": '{"elements": ["\u00e9"], "maps": {}}'.encode("latin-1"),
         "deep_json": b"[" * 100_000 + b"]" * 100_000,
@@ -238,10 +240,13 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
     (("poset", "theorem", "{latin_json}", "--map", "m"), 2, ""),
     (("poset", "domain", "{deep_json}", "--upper", "m"), 2, ""),
     (("real", "--upper", "x", "--tol", "nan"), 2, ""),
+    (("real", "--upper", "x", "--window", "-1" + "0" * 308, "1" + "0" * 308),
+     2, ""),
 ], ids=["negative-depth", "duplicate-labels", "grid-1", "max-size-100",
         "nested-3000", "tol-1e-20", "parens-200", "sum-1000", "minus-3000",
         "depth-1e9", "grid-1000001", "check-not-utf8", "graph-not-utf8",
-        "domain-not-utf8", "theorem-not-utf8", "json-nested-100000", "tol-nan"])
+        "domain-not-utf8", "theorem-not-utf8", "json-nested-100000", "tol-nan",
+        "window-wider-than-floats"])
 def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
                                                 tmp_path):
     files = _unreadable_files(tmp_path)
@@ -281,7 +286,17 @@ def test_cycle_message_does_not_depend_on_the_hash_seed(tmp_path):
     (("poset", "domain", "{latin_json}", "--upper", "m"), "not UTF-8 text"),
     (("poset", "theorem", "{latin_json}", "--map", "m"), "not UTF-8 text"),
     (("poset", "domain", "{deep_json}", "--upper", "m"), "JSON nested too deeply"),
-], ids=["check", "graph", "domain", "theorem", "deep-json"])
+    (("poset", "domain", "{bad_map}", "--upper", "m"),
+     "map 'm': unknown element 'zz'"),
+    (("poset", "theorem", "{bad_map}", "--map", "m"),
+     "map 'm': unknown element 'zz'"),
+    (("poset", "domain", "{one_map}", "--lower", "nope"),
+     "no map named 'nope' (have: succ)"),
+    (("poset", "theorem", "{one_map}", "--map", "nope"),
+     "no map named 'nope' (have: succ)"),
+], ids=["check", "graph", "domain", "theorem", "deep-json",
+        "domain-unknown-element", "theorem-unknown-element",
+        "domain-missing-map", "theorem-missing-map"])
 def test_unreadable_files_are_named_in_the_error(argv, reason, run_cli, tmp_path):
     files = _unreadable_files(tmp_path)
     argv = [a.format(**files) for a in argv]
