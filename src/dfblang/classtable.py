@@ -153,10 +153,6 @@ class ClassTable(Record):
         return tuple(sorted(self.infos))
 
 
-def _mentions(expr: TypeExpr, var: str) -> bool:
-    return var in free_vars(expr)
-
-
 def _site(decl: ClassDecl, detail: str) -> str:
     where = f"class {decl.name}, {detail}"
     if decl.pos is not None:
@@ -224,7 +220,7 @@ def build_table(program: Program) -> ClassTable:
             require_well_formed(table, upper, scope,
                                 _site(decl, f"upper bound of {pname}"))
             if (lower == upper and isinstance(lower, App)
-                    and _mentions(lower, pname)):
+                    and pname in free_vars(lower)):
                 warnings.append(Diagnostic(
                     "warning", name,
                     f"useless declaration: no finite type argument can satisfy "

@@ -13,13 +13,15 @@ grid cannot see (features narrower than one cell) stays invisible;
 intervals that run into the window edge are flagged rather than
 extended, standing in for unbounded rays.
 
+``parse_expr`` reads a bound the way ``syntax`` reads a program: one
+regular-expression scan into tokens, then a recursive descent over
+token indices. It refuses operators and parentheses nested deeper than
+``MAX_NESTING`` levels with a positioned ParseError, so neither parsing
+nor compiling nor evaluating a bound can reach Python's recursion limit.
 Each bound is compiled once, on its first evaluation, into nested
 closures, one per node, that do the float operations of a walk over the
 tree in the walk's order; the thousands of evaluations a decision makes
-then cost one call per node and no dispatch. ``parse_expr`` refuses
-operators and parentheses nested deeper than ``MAX_NESTING`` levels with
-a positioned ParseError, so neither parsing nor compiling nor evaluating
-a bound can reach Python's recursion limit.
+then cost one call per node and no dispatch.
 """
 
 from __future__ import annotations
@@ -107,127 +109,104 @@ class Pow(_Node):
 
 Expr = Num | X | SelfRef | Neg | BinOp | Pow
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+\.|\.\d+|\d+)|([A-Za-z_]\w*)|([-+*/^()]))")
+# Lexemes: a number, a name, an operator or parenthesis, or any other
+# character that is not a blank (an error). Blanks fall between matches.
+_LEXEME = re.compile(r"\d+\.\d+|\d+\.|\.\d+|\d+|[A-Za-z_]\w*|[-+*/^()]|(\S)")
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _tokenize_expr(text: str) -> list[tuple[str, str, int]]:
+def _tokenize_expr(text: str) -> list[tuple[str, int]]:
+    """Split a bound into (text, column) pairs, ending with ("", end)."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = pos + (len(text[pos:]) - len(stripped)) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", 1, col)
-        number, name, op = m.groups()
-        start = m.start(1) if number else m.start(2) if name else m.start(3)
-        if number:
-            tokens.append(("num", number, start + 1))
-        elif name:
-            tokens.append(("name", name, start + 1))
-        else:
-            tokens.append(("op", op, start + 1))
-        pos = m.end()
-    tokens.append(("eof", "", len(text) + 1))
+    for m in _LEXEME.finditer(text):
+        if m.lastindex:
+            raise ParseError(f"unexpected character {m[1]!r}", 1, m.start() + 1)
+        tokens.append((m[0], m.start() + 1))
+    tokens.append(("", len(text) + 1))
     return tokens
 
 
-class _ExprParser:
-    """Precedence climbing: ^ binds tightest, then unary -, then * /, then + -.
+# ---------------------------------------------------------------------------
+# Parser
+#
+# Precedence climbing: ^ binds tightest, then unary -, then * /, then + -.
+# Each production takes the index of its first token and the depth of
+# what it parses (the operators and parentheses around it), and returns
+# the node, the depth of its deepest leaf and the index just past it; it
+# never moves past the end token. Nesting past MAX_NESTING is a
+# ParseError at the token that goes one level too deep. Operator texts
+# are never numbers or names, so a token's text alone tells them apart.
 
-    Each parse method takes the depth of what it parses (the operators
-    and parentheses around it) and returns the node with the depth of
-    its deepest leaf; nesting past MAX_NESTING is a ParseError at the
-    token that goes one level too deep.
-    """
 
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.pos = 0
+def _fail(tokens: list[tuple[str, int]], i: int, message: str,
+          expected: tuple[str, ...] = ()) -> None:
+    raise ParseError(message, 1, tokens[i][1], frozenset(expected))
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+def _nest(tokens: list[tuple[str, int]], i: int, depth: int) -> int:
+    if depth > MAX_NESTING:
+        _fail(tokens, i, f"expression nested deeper than {MAX_NESTING} levels")
+    return depth
 
-    def at_op(self, *ops: str) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "op" and text in ops
 
-    def fail(self, message: str, expected: set[str] = frozenset()) -> None:
-        _, text, col = self.peek()
-        raise ParseError(message, 1, col, frozenset(expected))
+def _parse_binary(tokens: list[tuple[str, int]], i: int, depth: int,
+                  min_prec: int = 1) -> tuple[Expr, int, int]:
+    left, reach, i = _parse_operand(tokens, i, depth)
+    while True:
+        op = tokens[i][0]
+        if _PRECEDENCE.get(op, 0) < min_prec:
+            return left, reach, i
+        reach = _nest(tokens, i, reach + 1)
+        right, right_reach, i = _parse_binary(tokens, i + 1, depth + 1,
+                                              _PRECEDENCE[op] + 1)
+        left, reach = BinOp(op, left, right), max(reach, right_reach)
 
-    def nest(self, depth: int) -> int:
-        if depth > MAX_NESTING:
-            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
-        return depth
 
-    def parse_binary(self, depth: int, min_prec: int = 1) -> tuple[Expr, int]:
-        left, reach = self.parse_operand(depth)
-        while True:
-            kind, op, _ = self.peek()
-            if kind != "op" or _PRECEDENCE.get(op, 0) < min_prec:
-                return left, reach
-            reach = self.nest(reach + 1)
-            self.advance()
-            right, right_reach = self.parse_binary(depth + 1,
-                                                   _PRECEDENCE[op] + 1)
-            left, reach = BinOp(op, left, right), max(reach, right_reach)
+def _parse_operand(tokens: list[tuple[str, int]], i: int,
+                   depth: int) -> tuple[Expr, int, int]:
+    if tokens[i][0] == "-":
+        depth = _nest(tokens, i, depth + 1)
+        operand, reach, i = _parse_operand(tokens, i + 1, depth)
+        return Neg(operand), reach, i
+    base, reach, i = _parse_atom(tokens, i, depth)
+    while tokens[i][0] == "^":
+        reach = _nest(tokens, i, reach + 1)
+        i += 1
+        text = tokens[i][0]
+        if not text.isdecimal():
+            _fail(tokens, i, "exponent must be a nonnegative integer")
+        try:
+            exponent = int(text)
+        except ValueError:  # more digits than int() converts
+            _fail(tokens, i, "exponent has too many digits")
+        base = Pow(base, exponent)
+        i += 1
+    return base, reach, i
 
-    def parse_operand(self, depth: int) -> tuple[Expr, int]:
-        if self.at_op("-"):
-            depth = self.nest(depth + 1)
-            self.advance()
-            operand, reach = self.parse_operand(depth)
-            return Neg(operand), reach
-        base, reach = self.parse_atom(depth)
-        while self.at_op("^"):
-            reach = self.nest(reach + 1)
-            self.advance()
-            kind, text, col = self.peek()
-            if kind != "num" or "." in text:
-                self.fail("exponent must be a nonnegative integer")
-            self.advance()
-            base = Pow(base, int(text))
-        return base, reach
 
-    def parse_atom(self, depth: int) -> tuple[Expr, int]:
-        kind, text, col = self.peek()
-        if kind == "num":
-            self.advance()
-            return Num(float(text)), depth
-        if kind == "name":
-            self.advance()
-            if text == "x":
-                return X(), depth
-            if text == "f":
-                for want in "(x)":
-                    k, t, c = self.peek()
-                    if t != want:
-                        raise ParseError(
-                            "the self-reference must be written f(x)", 1, c,
-                            frozenset({want}))
-                    self.advance()
-                return SelfRef(), depth
-            raise ParseError(f"unknown name {text!r}", 1, col,
-                             frozenset({"x", "f(x)"}))
-        if self.at_op("("):
-            depth = self.nest(depth + 1)
-            self.advance()
-            inner = self.parse_binary(depth)
-            if not self.at_op(")"):
-                self.fail("unbalanced parenthesis", {")"})
-            self.advance()
-            return inner
-        self.fail("expected a number, x, f(x), or (", {"x", "f(x)", "("})
+def _parse_atom(tokens: list[tuple[str, int]], i: int,
+                depth: int) -> tuple[Expr, int, int]:
+    text = tokens[i][0]
+    if text[:1].isdecimal() or text[:1] == ".":
+        return Num(float(text)), depth, i + 1
+    if text == "x":
+        return X(), depth, i + 1
+    if text == "f":
+        for want in "(x)":
+            i += 1
+            if tokens[i][0] != want:
+                _fail(tokens, i, "the self-reference must be written f(x)",
+                      (want,))
+        return SelfRef(), depth, i + 1
+    if text == "(":
+        depth = _nest(tokens, i, depth + 1)
+        inner, reach, i = _parse_binary(tokens, i + 1, depth)
+        if tokens[i][0] != ")":
+            _fail(tokens, i, "unbalanced parenthesis", (")",))
+        return inner, reach, i + 1
+    if text[:1].isalpha() or text[:1] == "_":
+        _fail(tokens, i, f"unknown name {text!r}", ("x", "f(x)"))
+    _fail(tokens, i, "expected a number, x, f(x), or (", ("x", "f(x)", "("))
 
 
 def parse_expr(text: str) -> Expr:
@@ -237,10 +216,10 @@ def parse_expr(text: str) -> Expr:
     which keeps every recursive walk over the tree, the compiled
     closures included, clear of Python's recursion limit.
     """
-    parser = _ExprParser(_tokenize_expr(text))
-    expr, _ = parser.parse_binary(0)
-    if parser.peek()[0] != "eof":
-        parser.fail("trailing input", {"end of input"})
+    tokens = _tokenize_expr(text)
+    expr, _, i = _parse_binary(tokens, 0, 0)
+    if tokens[i][0]:
+        _fail(tokens, i, "trailing input", ("end of input",))
     return expr
 
 
@@ -324,7 +303,10 @@ def _compile(e: Expr) -> Callable[[float], float]:
                 try:
                     return b ** exponent
                 except OverflowError:
-                    return -math.inf if b < 0 and exponent % 2 else math.inf
+                    # The power overflowed, or the exponent is past the
+                    # float range; either way |b| ** inf is its magnitude.
+                    magnitude = abs(b) ** math.inf
+                    return math.copysign(magnitude, b) if exponent % 2 else magnitude
             return power
 
     def not_a_node(x: float) -> float:
@@ -487,15 +469,16 @@ def real_domain(
         # inside the tolerance, or until no float lies strictly between
         # a and b, and answer its midpoint.
         pa = predicate(a)
+        # (a + b) / 2 would overflow near the top of the float range.
         while b - a > tol / 2:
-            mid = (a + b) / 2
+            mid = a / 2 + b / 2
             if not a < mid < b:
                 break
             if predicate(mid) == pa:
                 a = mid
             else:
                 b = mid
-        return (a + b) / 2
+        return a / 2 + b / 2
 
     xs = _grid(window, grid_n)
     flags = [predicate(x, record=True) for x in xs]
@@ -517,17 +500,12 @@ def real_domain(
             right, touches_right = hi, True
         else:
             right, touches_right = refine(xs[j], xs[j + 1]), False
+        if intervals and left - intervals[-1].hi <= tol:  # touches the last
+            prev = intervals.pop()
+            left, touches_left = prev.lo, prev.touches_left_edge
         intervals.append(Interval(left, right, touches_left, touches_right))
         i = j + 1
-
-    merged: list[Interval] = []
-    for iv in intervals:
-        if merged and iv.lo - merged[-1].hi <= tol:
-            prev = merged.pop()
-            iv = Interval(prev.lo, iv.hi, prev.touches_left_edge,
-                          iv.touches_right_edge)
-        merged.append(iv)
-    return DomainReport(IntervalSet(tuple(merged)), window, tol, grid_n,
+    return DomainReport(IntervalSet(tuple(intervals)), window, tol, grid_n,
                         tuple(skipped))
 
 

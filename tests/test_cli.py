@@ -242,11 +242,19 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
     (("real", "--upper", "x", "--tol", "nan"), 2, ""),
     (("real", "--upper", "x", "--window", "-1" + "0" * 308, "1" + "0" * 308),
      2, ""),
+    (("real", "--upper", "x^" + "9" * 5000), 2, ""),
+    (("real", "--upper", "x^1" + "0" * 400, "--window", "-0.9", "0.9",
+      "--grid", "11"), 0, "[-edge, 0.000000]\n"),
+    (("real", "--upper", "15" + "0" * 307, "--window", "1e308", "1.7e308"), 0,
+     f"[-edge, {1.5e308:.6f}]\n"),
+    (("poset", "theorem", "--random", "1", "--max-size", "1000000",
+      "--seed", "3"), 2, ""),
 ], ids=["negative-depth", "duplicate-labels", "grid-1", "max-size-100",
         "nested-3000", "tol-1e-20", "parens-200", "sum-1000", "minus-3000",
         "depth-1e9", "grid-1000001", "check-not-utf8", "graph-not-utf8",
         "domain-not-utf8", "theorem-not-utf8", "json-nested-100000", "tol-nan",
-        "window-wider-than-floats"])
+        "window-wider-than-floats", "exponent-5000-digits",
+        "exponent-past-floats", "midpoint-near-float-max", "max-size-1000000"])
 def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
                                                 tmp_path):
     files = _unreadable_files(tmp_path)

@@ -198,6 +198,8 @@ def test_poset_commands_meet_the_contract(workdir, data, argv):
 # Real-line expressions and flags.
 
 ATOMS = ("x", "1", "0", "2.5", ".5", "3.", "f(x)", "y", "1e3")
+# Past the float range, and past the digits int() converts.
+EXPONENTS = ("0", "2", "3", "-1", "400", "1" + "0" * 400, "9" * 5000)
 
 
 @st.composite
@@ -210,7 +212,7 @@ def expressions(draw, depth=3):
     if form == 1:
         return f"({draw(expressions(depth - 1))})"
     if form == 2:
-        return f"{draw(expressions(depth - 1))}^{draw(st.sampled_from(('0', '2', '3', '-1', '400')))}"
+        return f"{draw(expressions(depth - 1))}^{draw(st.sampled_from(EXPONENTS))}"
     op = draw(st.sampled_from("+-*/"))
     return f"{draw(expressions(depth - 1))} {op} {draw(expressions(depth - 1))}"
 
@@ -240,5 +242,6 @@ def real_argvs(draw):
 @example(["real", "--lower", "1", "--upper", "3", "--tol", "1e-20"])
 @example(["real", "--upper=" + "(" * 201 + "x" + ")" * 201])
 @example(["real", "--upper=" + "-" * 3000 + "x"])
+@example(["real", "--upper=x^" + "9" * 5000])
 def test_real_meets_the_contract(argv):
     run_main(argv)

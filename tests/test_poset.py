@@ -385,6 +385,13 @@ class TestRandomGeneration:
         with pytest.raises(InvalidValue):
             random_poset(0, 0)
 
+    def test_an_oversized_draw_is_refused_before_its_covers(self):
+        # Drawing the covers of a million elements would take hours.
+        n = random.Random(3).randint(1, 10 ** 6)
+        with pytest.raises(InvalidValue, match=(
+                f"^carrier too large: {n} elements, cap is {MAX_ELEMENTS}$")):
+            random_poset(3, 10 ** 6)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_random_posets_satisfy_the_axioms(self, seed):
         _assert_poset_axioms(random_poset(seed, 8))

@@ -80,6 +80,11 @@ class TestParseExpr:
         with pytest.raises(ParseError):
             parse_expr("f(2)")
 
+    def test_an_exponent_int_cannot_convert_is_a_positioned_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse_expr("x ^ " + "9" * 5000)
+        assert (exc.value.line, exc.value.column) == (1, 5)
+
 
 def _parens(n: int) -> str:
     return "(" * n + "x" + ")" * n
@@ -157,6 +162,15 @@ class TestEval:
     def test_overflowing_powers_become_infinities(self):
         assert eval_expr(parse_expr("10^400"), 0.0) == math.inf
         assert eval_expr(parse_expr("(-10)^401"), 0.0) == -math.inf
+
+    def test_exponents_past_the_float_range(self):
+        # 10^400 cannot convert to a float, which is not an overflow.
+        big = 10 ** 400
+        powers = {b: (eval_expr(Pow(Num(b), big), 0.0),
+                      eval_expr(Pow(Num(b), big + 1), 0.0))
+                  for b in (0.5, -1.0, 1.0, -2.0)}
+        assert powers == {0.5: (0.0, 0.0), -1.0: (1.0, -1.0), 1.0: (1.0, 1.0),
+                          -2.0: (math.inf, -math.inf)}
 
     def test_unresolved_self_reference_refuses_to_evaluate(self):
         with pytest.raises(SelfReferenceInBody):
