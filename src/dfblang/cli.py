@@ -112,12 +112,11 @@ def _cmd_poset_domain(args: argparse.Namespace) -> int:
     poset, maps = posets.load_poset_file(args.file)
     if args.lower is None and args.upper is None:
         raise posets.PosetFileError("give at least one of --lower / --upper")
-    spec = posets.DomainSpec(
-        lower=_pick_map(maps, args.lower, args.file) if args.lower else None,
-        upper=_pick_map(maps, args.upper, args.file) if args.upper else None,
-        strict_lower=args.strict and args.lower is not None,
-        strict_upper=args.strict and args.upper is not None,
-    )
+    lower, upper = [None if name is None else _pick_map(maps, name, args.file)
+                    for name in (args.lower, args.upper)]
+    spec = posets.DomainSpec(lower, upper,
+                             strict_lower=args.strict and lower is not None,
+                             strict_upper=args.strict and upper is not None)
     result = posets.dfbf_domain(poset, spec)
     print(_format_members(poset, result.members))
     return EXIT_OK
@@ -163,6 +162,9 @@ def _cmd_real(args: argparse.Namespace) -> int:
     if args.lower is None and args.upper is None:
         raise DfbError("give at least one of --lower / --upper")
     body = realline.parse_expr(args.body) if args.body is not None else None
+    if body is not None and realline.contains_self(body):
+        raise realline.SelfReferenceInBody(
+            "the function body cannot mention f(x)")
     bounds = {}
     for side, text in (("lower", args.lower), ("upper", args.upper)):
         if text is None:

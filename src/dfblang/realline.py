@@ -481,6 +481,10 @@ def real_domain(
         return a / 2 + b / 2
 
     xs = _grid(window, grid_n)
+    if xs[-2] > hi:
+        # Only a subnormal step rounds up far enough to pass hi.
+        raise InvalidValue(
+            f"window [{lo}, {hi}] is too narrow for {grid_n} samples")
     flags = [predicate(x, record=True) for x in xs]
 
     intervals: list[Interval] = []

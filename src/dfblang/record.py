@@ -7,11 +7,12 @@ serves ``match`` class patterns) and sets them in its own ``__init__``
 through :data:`set_field`. The base derives what a frozen dataclass
 would: equality with a record of the same class, a hash over the fields,
 ``Name(field=value, ...)`` as its repr, pickling through the
-constructor, and an ``AttributeError`` on assignment. Classes that
-cannot derive from it borrow its methods. Only ``App`` (hash stored at
-construction, identity compared first) and ``ClassDecl`` (``pos`` left
-out of equality) write their own ``__eq__`` and ``__hash__``; every
-record writes its own ``__init__``.
+constructor, and an ``AttributeError`` on assignment. ``ParseError``,
+an exception and so unable to derive from it, is the one class that
+borrows its methods. Only ``App`` (hash stored at construction, identity
+compared first) and ``ClassDecl`` (``pos`` left out of equality) write
+their own ``__eq__`` and ``__hash__``; every record writes its own
+``__init__``.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Container, Iterable, Iterator
-from operator import attrgetter
 
 from .errors import ParseError
 from .record import Record, set_field
@@ -165,43 +164,16 @@ class Program(Record):
 # Tokenizer
 
 
-class Token:
-    """One lexeme; ``kind`` is 'ident', 'kw', 'punct' or 'eof'.
+def tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """Split ``source`` into ``(kind, text, line, column)`` tuples.
 
-    A program makes one token per lexeme, so a token keeps its fields in
-    private slots, set directly, behind read-only properties, and borrows
-    ``Record``'s other methods.
+    ``kind`` is 'ident', 'kw' or 'punct', and the list ends with
+    ``("eof", "", line, column)``. Lines and columns count from 1, a tab
+    or carriage return is one column, and a comment runs to the end of
+    its line. At the end of input the column stays where a trailing
+    comment began.
     """
-
-    __slots__ = ("_kind", "_text", "_line", "_column")
-    __match_args__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self._kind = kind
-        self._text = text
-        self._line = line
-        self._column = column
-
-    kind = property(attrgetter("_kind"))
-    text = property(attrgetter("_text"))
-    line = property(attrgetter("_line"))
-    column = property(attrgetter("_column"))
-
-    _fields = Record._fields
-    __eq__ = Record.__eq__
-    __hash__ = Record.__hash__
-    __repr__ = Record.__repr__
-    __reduce__ = Record.__reduce__
-
-
-def tokenize(source: str) -> list[Token]:
-    """Split ``source`` into tokens, ending with an 'eof' token.
-
-    Lines and columns count from 1, a tab or carriage return is one
-    column, and a comment runs to the end of its line. At the end of
-    input the column stays where a trailing comment began.
-    """
-    tokens: list[Token] = []
+    tokens: list[tuple[str, str, int, int]] = []
     append = tokens.append
     find = source.find
     kinds = _KINDS
@@ -223,13 +195,13 @@ def tokenize(source: str) -> list[Token]:
                 continue
             raise ParseError(f"unexpected character {word!r}",
                              line, pos - line_start + 1)
-        append(Token(kind, word, line, pos - line_start + 1))
+        append((kind, word, line, pos - line_start + 1))
         pos += len(word)
     if comment_line == line:
         column = comment_column
     else:
         column = len(source) - line_start + 1
-    append(Token("eof", "", line, column))
+    append(("eof", "", line, column))
     return tokens
 
 
@@ -243,46 +215,45 @@ def tokenize(source: str) -> list[Token]:
 # them apart.
 
 
-def _fail(tok: Token, expected: tuple[str, ...]) -> None:
-    shown = tok._text if tok._kind != "eof" else "end of input"
-    raise ParseError(f"unexpected {shown!r}", tok._line, tok._column,
-                     frozenset(expected))
+def _fail(tok: tuple[str, str, int, int], expected: tuple[str, ...]) -> None:
+    kind, text, line, column = tok
+    shown = text if kind != "eof" else "end of input"
+    raise ParseError(f"unexpected {shown!r}", line, column, frozenset(expected))
 
 
-def _parse_type(tokens: list[Token], i: int, scope: Container[str],
-                depth: int = 0) -> tuple[TypeExpr, int]:
-    tok = tokens[i]
-    if tok._kind != "ident":
-        _fail(tok, ("<ident>",))
-    name = tok._text
+def _parse_type(tokens: list[tuple[str, str, int, int]], i: int,
+                scope: Container[str], depth: int = 0) -> tuple[TypeExpr, int]:
+    kind, name, _, _ = tokens[i]
+    if kind != "ident":
+        _fail(tokens[i], ("<ident>",))
     i += 1
-    tok = tokens[i]
-    if tok._text != "<":
+    _, text, line, column = tokens[i]
+    if text != "<":
         return (Var(name) if name in scope else App(name)), i
     if depth == MAX_NESTING:
         raise ParseError(
             f"type arguments nested deeper than {MAX_NESTING} levels",
-            tok._line, tok._column)
+            line, column)
     args = []
     while True:
         arg, i = _parse_type(tokens, i + 1, scope, depth + 1)
         args.append(arg)
-        tok = tokens[i]
-        if tok._text != ",":
+        text = tokens[i][1]
+        if text != ",":
             break
-    if tok._text != ">":
-        _fail(tok, (">",))
+    if text != ">":
+        _fail(tokens[i], (">",))
     return App(name, args), i + 1
 
 
-def _bare_name(expr: TypeExpr, tok: Token) -> str:
+def _bare_name(expr: TypeExpr, tok: tuple[str, str, int, int]) -> str:
     if isinstance(expr, App) and not expr.args:
         return expr.name
     raise ParseError(f"expected a bare parameter name, got {render(expr)!r}",
-                     tok._line, tok._column)
+                     tok[2], tok[3])
 
 
-def _parse_param(tokens: list[Token], i: int):
+def _parse_param(tokens: list[tuple[str, str, int, int]], i: int):
     # Either `LB extends T extends UB` (sandwich) or
     # `T [extends UB] [super LB]` (keyword form). Both start with a
     # type; two `extends` in a row is what makes it a sandwich. Bounds
@@ -291,58 +262,59 @@ def _parse_param(tokens: list[Token], i: int):
     first_tok = tokens[i]
     first, i = _parse_type(tokens, i, ())
     lower = upper = None
-    if tokens[i]._text == "extends":
+    if tokens[i][1] == "extends":
         mid_tok = tokens[i + 1]
         mid, i = _parse_type(tokens, i + 1, ())
-        if tokens[i]._text == "extends":
+        if tokens[i][1] == "extends":
             name = _bare_name(mid, mid_tok)
             upper, i = _parse_type(tokens, i + 1, ())
             return name, first, upper, i
         upper = mid
     name = _bare_name(first, first_tok)
-    if tokens[i]._text == "super":
+    if tokens[i][1] == "super":
         lower, i = _parse_type(tokens, i + 1, ())
     return name, lower, upper, i
 
 
-def _parse_decl(tokens: list[Token], i: int) -> tuple[ClassDecl, int]:
-    kw = tokens[i]
-    if kw._text != "class":
-        _fail(kw, ("class",))
-    tok = tokens[i + 1]
-    if tok._kind != "ident":
-        _fail(tok, ("<ident>",))
-    name = tok._text
+def _parse_decl(tokens: list[tuple[str, str, int, int]],
+                i: int) -> tuple[ClassDecl, int]:
+    _, text, line, column = tokens[i]
+    if text != "class":
+        _fail(tokens[i], ("class",))
+    pos = (line, column)
+    kind, name, _, _ = tokens[i + 1]
+    if kind != "ident":
+        _fail(tokens[i + 1], ("<ident>",))
     i += 2
     params: list[TypeParamDecl] = []
     scope: set[str] = set()
-    if tokens[i]._text == "<":
+    if tokens[i][1] == "<":
         parsed = []
         while True:
             tok = tokens[i + 1]
             pname, lower, upper, i = _parse_param(tokens, i + 1)
             if pname in scope:
                 raise ParseError(f"duplicate type parameter {pname!r}",
-                                 tok._line, tok._column)
+                                 tok[2], tok[3])
             scope.add(pname)
             parsed.append((pname, lower, upper))
-            tok = tokens[i]
-            if tok._text == ">":
+            text = tokens[i][1]
+            if text == ">":
                 break
-            if tok._text != ",":
-                _fail(tok, (",", ">"))
+            if text != ",":
+                _fail(tokens[i], (",", ">"))
         i += 1
         params = [TypeParamDecl(pname, _scope_names(lower, scope),
                                 _scope_names(upper, scope))
                   for pname, lower, upper in parsed]
     extends_clause = None
-    if tokens[i]._text == "extends":
+    if tokens[i][1] == "extends":
         extends_clause, i = _parse_type(tokens, i + 1, scope)
-    if tokens[i]._text != "{":
+    if tokens[i][1] != "{":
         _fail(tokens[i], ("{",))
-    if tokens[i + 1]._text != "}":
+    if tokens[i + 1][1] != "}":
         _fail(tokens[i + 1], ("}",))
-    return ClassDecl(name, params, extends_clause, (kw._line, kw._column)), i + 2
+    return ClassDecl(name, params, extends_clause, pos), i + 2
 
 
 def _scope_names(expr: TypeExpr | None, scope: set[str]) -> TypeExpr | None:

@@ -249,12 +249,24 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
      f"[-edge, {1.5e308:.6f}]\n"),
     (("poset", "theorem", "--random", "1", "--max-size", "1000000",
       "--seed", "3"), 2, ""),
+    (("poset", "domain", "{one_map}", "--lower="), 2, ""),
+    (("poset", "domain", "{one_map}", "--upper=", "--strict"), 2, ""),
+    (("poset", "domain", "{one_map}", "--lower=", "--upper", "succ"), 2, ""),
+    (("real", "--lower", "0." + "0" * 319 + "15", "--window", "0", "1e-320"),
+     2, ""),
+    (("real", "--upper", "1", "--body", "f(x)", "--window", "0", "4",
+      "--grid", "5"), 2, ""),
+    (("real", "--upper", "1", "--body", "f(x)", "--window", "0", "4",
+      "--grid", "5", "--csv", "{enum}.csv"), 2, ""),
 ], ids=["negative-depth", "duplicate-labels", "grid-1", "max-size-100",
         "nested-3000", "tol-1e-20", "parens-200", "sum-1000", "minus-3000",
         "depth-1e9", "grid-1000001", "check-not-utf8", "graph-not-utf8",
         "domain-not-utf8", "theorem-not-utf8", "json-nested-100000", "tol-nan",
         "window-wider-than-floats", "exponent-5000-digits",
-        "exponent-past-floats", "midpoint-near-float-max", "max-size-1000000"])
+        "exponent-past-floats", "midpoint-near-float-max", "max-size-1000000",
+        "empty-lower-name", "empty-strict-upper-name", "empty-lower-name-with-upper",
+        "window-narrower-than-grid", "self-referential-body",
+        "self-referential-body-csv"])
 def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
                                                 tmp_path):
     files = _unreadable_files(tmp_path)
@@ -302,9 +314,15 @@ def test_cycle_message_does_not_depend_on_the_hash_seed(tmp_path):
      "no map named 'nope' (have: succ)"),
     (("poset", "theorem", "{one_map}", "--map", "nope"),
      "no map named 'nope' (have: succ)"),
+    (("poset", "domain", "{one_map}", "--lower="), "no map named '' (have: succ)"),
+    (("poset", "domain", "{one_map}", "--upper=", "--strict"),
+     "no map named '' (have: succ)"),
+    (("poset", "domain", "{one_map}", "--lower=", "--upper", "succ"),
+     "no map named '' (have: succ)"),
 ], ids=["check", "graph", "domain", "theorem", "deep-json",
         "domain-unknown-element", "theorem-unknown-element",
-        "domain-missing-map", "theorem-missing-map"])
+        "domain-missing-map", "theorem-missing-map", "domain-empty-lower-name",
+        "domain-empty-strict-upper-name", "domain-empty-lower-name-with-upper"])
 def test_unreadable_files_are_named_in_the_error(argv, reason, run_cli, tmp_path):
     files = _unreadable_files(tmp_path)
     argv = [a.format(**files) for a in argv]

@@ -169,11 +169,13 @@ def poset_files(draw):
     return text.encode()
 
 
+MAP_NAMES = ("m", "n", "q", "")
+
 poset_argvs = st.one_of(
-    st.tuples(st.just("domain"), st.sampled_from(("m", "n", "q")),
-              st.sampled_from(("m", "n", "q")), st.booleans()).map(
+    st.tuples(st.just("domain"), st.sampled_from(MAP_NAMES),
+              st.sampled_from(MAP_NAMES), st.booleans()).map(
         lambda t: ["domain", "--lower", t[1], "--upper", t[2]] + ["--strict"] * t[3]),
-    st.sampled_from(("m", "n", "q")).map(lambda m: ["theorem", "--map", m]),
+    st.sampled_from(MAP_NAMES).map(lambda m: ["theorem", "--map", m]),
     st.tuples(st.integers(-2, 20), st.integers(-1, 100), st.integers(0, 99)).map(
         lambda t: ["theorem", "--random", str(t[0]), "--max-size", str(t[1]),
                    "--seed", str(t[2])]),
@@ -231,7 +233,8 @@ def real_argvs(draw):
     if draw(st.booleans()):
         argv += ["--grid", str(draw(st.sampled_from((-1, 0, 1, 2, 3, 101))))]
     if draw(st.booleans()):
-        lo, hi = draw(st.sampled_from(((-1, 1), (1, -1), (0, 0), (-1e308, 1e308))))
+        lo, hi = draw(st.sampled_from(((-1, 1), (1, -1), (0, 0), (-1e308, 1e308),
+                                       (0, 1e-320))))
         argv += ["--window", str(lo), str(hi)]
     return argv
 
@@ -243,5 +246,6 @@ def real_argvs(draw):
 @example(["real", "--upper=" + "(" * 201 + "x" + ")" * 201])
 @example(["real", "--upper=" + "-" * 3000 + "x"])
 @example(["real", "--upper=x^" + "9" * 5000])
+@example(["real", "--upper=1", "--body=f(x)", "--window", "0", "4", "--grid", "5"])
 def test_real_meets_the_contract(argv):
     run_main(argv)

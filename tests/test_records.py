@@ -26,7 +26,7 @@ from dfblang import classtable, errors, poset, realline, subtyping, syntax, vali
 
 NEW = {}
 for module, names in (
-        (syntax, ("Var", "App", "TypeParamDecl", "ClassDecl", "Program", "Token")),
+        (syntax, ("Var", "App", "TypeParamDecl", "ClassDecl", "Program")),
         (errors, ("ParseError",)),
         (classtable, ("Diagnostic", "ClassInfo", "ClassTable")),
         (subtyping, ("GroundGraph",)),
@@ -115,7 +115,6 @@ REF = {
         _post(_decl_post)),
     "Program": _frozen("Program", [("decls", tuple, field(default=()))],
                        _post(_tupled("decls"))),
-    "Token": _frozen("Token", ["kind", "text", "line", "column"]),
     "ParseError": make_dataclass(
         "ParseError", ["message", "line", "column",
                        ("expected", frozenset, field(default_factory=frozenset))],
@@ -199,8 +198,6 @@ SAMPLES = {
                   S("ClassDecl", "D")],
     "Program": [S("Program"), S("Program", [S("ClassDecl", "C")]),
                 S("Program", (S("ClassDecl", "C", pos=(4, 4)),))],
-    "Token": [S("Token", "ident", "A", 1, 1), S("Token", "ident", "A", 1, 1),
-              S("Token", "kw", "class", 2, 3), S("Token", "eof", "", 2, 9)],
     "ParseError": [S("ParseError", "unexpected 'x'", 1, 2),
                    S("ParseError", "unexpected 'x'", 1, 2, frozenset({">"})),
                    S("ParseError", "unexpected 'x'", 1, 2, frozenset())],
@@ -252,7 +249,7 @@ REFUSED = [
 
 def test_every_value_class_is_covered():
     assert set(SAMPLES) == set(NEW) == set(REF)
-    assert len(NEW) == 25
+    assert len(NEW) == 24
 
 
 def _hash_or_error(value):
