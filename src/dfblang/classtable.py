@@ -186,6 +186,20 @@ def require_well_formed(
         require_well_formed(table, arg, scope, site)
 
 
+def _require_well_formed_at(table: ClassTable, expr: TypeExpr,
+                            scope: frozenset[str], decl: ClassDecl,
+                            *detail: str) -> None:
+    """require_well_formed at a site in decl, named by the words of
+    detail; the site's text is built only when the check fails."""
+    try:
+        require_well_formed(table, expr, scope)
+    except (UnknownClass, UnboundVariable) as exc:
+        raise type(exc)(exc.name, _site(decl, " ".join(detail))) from None
+    except ArityMismatch as exc:
+        raise ArityMismatch(exc.name, exc.expected, exc.got,
+                            _site(decl, " ".join(detail))) from None
+
+
 def build_table(program: Program) -> ClassTable:
     """Check a program's declarations and assemble its class table.
 
@@ -215,10 +229,10 @@ def build_table(program: Program) -> ClassTable:
         info = infos[name]
         scope = frozenset(info.param_names)
         for pname, lower, upper in zip(info.param_names, info.lowers, info.uppers):
-            require_well_formed(table, lower, scope,
-                                _site(decl, f"lower bound of {pname}"))
-            require_well_formed(table, upper, scope,
-                                _site(decl, f"upper bound of {pname}"))
+            _require_well_formed_at(table, lower, scope, decl,
+                                    "lower bound of", pname)
+            _require_well_formed_at(table, upper, scope, decl,
+                                    "upper bound of", pname)
             if (lower == upper and isinstance(lower, App)
                     and pname in free_vars(lower)):
                 warnings.append(Diagnostic(
@@ -235,8 +249,8 @@ def build_table(program: Program) -> ClassTable:
         if extends_clause.name == "Null":
             raise InvalidExtends(
                 f"{_site(decl, 'extends clause')}: Null cannot be extended")
-        require_well_formed(table, extends_clause, scope,
-                            _site(decl, "extends clause"))
+        _require_well_formed_at(table, extends_clause, scope, decl,
+                                "extends clause")
 
     _check_acyclic(decls, infos)
     warnings.sort(key=lambda d: (d.class_name, d.message))

@@ -18,18 +18,19 @@ regular-expression scan into tokens, then a recursive descent over
 token indices. It refuses operators and parentheses nested deeper than
 ``MAX_NESTING`` levels with a positioned ParseError, so neither parsing
 nor compiling nor evaluating a bound can reach Python's recursion limit.
-Each bound is compiled once, on its first evaluation, into nested
-closures, one per node, that do the float operations of a walk over the
-tree in the walk's order; the thousands of evaluations a decision makes
-then cost one call per node and no dispatch.
+Each bound is compiled once, on its first evaluation, into generated
+straight-line Python with one assignment per node in a walk's order, so
+the thousands of evaluations a decision makes cost one call per bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections.abc import Callable
 from functools import cached_property
+from operator import lt
 
 from .errors import DfbError, InvalidValue, ParseError
 from .record import Record, set_field
@@ -57,13 +58,13 @@ class EmptyWindow(DfbError):
 class _Node(Record):
     """Base of the expression nodes: each compiles once, on first use.
 
-    The closure is cached in the instance dict, not in a field, so
-    equality, hashing, repr and pickling never see it.
+    The compiled function is cached in the instance dict, not in a field,
+    so equality, hashing, repr and pickling never see it.
     """
 
     @cached_property
     def _closure(self) -> Callable[[float], float]:
-        return _compile(self)
+        return _Source().build(self)
 
 
 class Num(_Node):
@@ -213,8 +214,8 @@ def parse_expr(text: str) -> Expr:
     """Parse a bound in x.
 
     Operators and parentheses may nest at most MAX_NESTING levels deep,
-    which keeps every recursive walk over the tree, the compiled
-    closures included, clear of Python's recursion limit.
+    which keeps every recursive walk over the tree, the compiler's
+    included, clear of Python's recursion limit.
     """
     tokens = _tokenize_expr(text)
     expr, _, i = _parse_binary(tokens, 0, 0)
@@ -261,69 +262,108 @@ def resolve_self_reference(bound: Expr, body: Expr) -> Expr:
     return sub(bound)
 
 
-def _compile(e: Expr) -> Callable[[float], float]:
-    """One closure per node, doing the float operations of a recursive
-    walk over e in the walk's order; a fault raises when it is reached."""
-    match e:
-        case Num(value):
-            return lambda x: value
-        case X():
-            return lambda x: x
-        case SelfRef():
-            def unresolved(x: float) -> float:
-                raise SelfReferenceInBody(
-                    "unresolved f(x): substitute the body before evaluating")
-            return unresolved
-        case Neg(operand):
-            f = _compile(operand)
-            return lambda x: -f(x)
-        case BinOp("+", left, right):
-            f, g = _compile(left), _compile(right)
-            return lambda x: f(x) + g(x)
-        case BinOp("-", left, right):
-            f, g = _compile(left), _compile(right)
-            return lambda x: f(x) - g(x)
-        case BinOp("*", left, right):
-            f, g = _compile(left), _compile(right)
-            return lambda x: f(x) * g(x)
-        case BinOp("/", left, right):
-            f, g = _compile(left), _compile(right)
+# A subtree whose code passes this many lines becomes a function of its
+# own, so that compile() never holds much more than that at once.
+_CHUNK_LINES = 256
 
-            def divide(x: float) -> float:
-                denom = g(x)
-                if denom == 0.0:
-                    raise DivisionByZero(x)
-                return f(x) / denom
-            return divide
-        case Pow(base, exponent):
-            f = _compile(base)
 
-            def power(x: float) -> float:
-                b = f(x)
-                try:
-                    return b ** exponent
-                except OverflowError:
-                    # The power overflowed, or the exponent is past the
-                    # float range; either way |b| ** inf is its magnitude.
-                    magnitude = abs(b) ** math.inf
-                    return math.copysign(magnitude, b) if exponent % 2 else magnitude
-            return power
+def _overflowed(b, exponent):
+    # The power overflowed, or the exponent is past the float range;
+    # either way |b| ** inf is its magnitude.
+    magnitude = abs(b) ** math.inf
+    return math.copysign(magnitude, b) if exponent % 2 else magnitude
 
-    def not_a_node(x: float) -> float:
-        raise TypeError(f"not an expression node: {e!r}")
-    return not_a_node
+
+def _unresolved():
+    raise SelfReferenceInBody(
+        "unresolved f(x): substitute the body before evaluating")
+
+
+def _not_a_node(e):
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+class _Source:
+    """Straight-line functions of x for one bound: one assignment per
+    node, in a recursive walk's order (/ raises DivisionByZero on a 0.0
+    denominator before its numerator, ** turns OverflowError into the
+    signed limit, f(x) and non-nodes raise where reached). No input text
+    enters the source: a finite float enters as its repr, every other
+    value as a name bound in the functions' namespace."""
+
+    def __init__(self):
+        self.names = {"DivisionByZero": DivisionByZero, "_overflowed": _overflowed,
+                      "_unresolved": _unresolved, "_not_a_node": _not_a_node}
+        self.lines: list[str] = []
+        self.ids = itertools.count()
+
+    def build(self, e: Expr) -> Callable[[float], float]:
+        result = self.emit(e)
+        # Popped, the function and its namespace form no reference cycle.
+        return self.names.pop(self.function(self.lines, result))
+
+    def bind(self, value) -> str:
+        name = f"c{next(self.ids)}"
+        self.names[name] = value
+        return name
+
+    def function(self, body: list[str], result: str) -> str:
+        name = f"c{next(self.ids)}"
+        source = "".join([f"def {name}(x):\n", *(f" {line}\n" for line in body),
+                          f" return {result}\n"])
+        exec(compile(source, "<bound>", "exec"), self.names)
+        return name
+
+    def emit(self, e) -> str:
+        """Append the assignments that evaluate e to lines, operands
+        before the node; answer the operand that then holds its value."""
+        match e:
+            case X():
+                return "x"
+            case Num(value) if type(value) is float and math.isfinite(value):
+                text = repr(value)
+                return f"({text})" if text[0] == "-" else text
+            case Num(value):
+                return self.bind(value)
+        emit, lines = self.emit, self.lines
+        start, v = len(lines), f"v{next(self.ids)}"
+        match e:
+            case Neg(operand):
+                lines.append(f"{v} = -{emit(operand)}")
+            case BinOp("+", left, right):
+                lines.append(f"{v} = {emit(left)} + {emit(right)}")
+            case BinOp("-", left, right):
+                lines.append(f"{v} = {emit(left)} - {emit(right)}")
+            case BinOp("*", left, right):
+                lines.append(f"{v} = {emit(left)} * {emit(right)}")
+            case BinOp("/", left, right):
+                d = emit(right)
+                lines.append(f"if {d} == 0.0: raise DivisionByZero(x)")
+                lines.append(f"{v} = {emit(left)} / {d}")
+            case Pow(base, exponent):
+                b, n = emit(base), self.bind(exponent)
+                lines.append(f"try: {v} = {b} ** {n}")
+                lines.append(f"except OverflowError: {v} = _overflowed({b}, {n})")
+            case SelfRef():
+                lines.append(f"{v} = _unresolved()")
+            case _:
+                lines.append(f"{v} = _not_a_node({self.bind(e)})")
+        if len(lines) - start > _CHUNK_LINES:
+            lines[start:] = [f"{v} = {self.function(lines[start:], v)}(x)"]
+        return v
 
 
 def eval_expr(e: Expr, x: float) -> float:
     """IEEE double evaluation; infinities flow through, 0 denominators raise.
 
-    Runs the closure e compiled to on its first evaluation.
+    Runs the function e compiled to on its first evaluation; every
+    evaluation of a bound goes through here.
     """
     try:
-        closure = e._closure
+        function = e._closure
     except AttributeError:
         raise TypeError(f"not an expression node: {e!r}") from None
-    return closure(x)
+    return function(x)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +521,9 @@ def real_domain(
         return a / 2 + b / 2
 
     xs = _grid(window, grid_n)
-    if xs[-2] > hi:
-        # Only a subnormal step rounds up far enough to pass hi.
+    if not all(map(lt, xs, xs[1:])):
+        # Where the step nears the spacing of floats in the window, it
+        # rounds to 0, or lo + i * step repeats a sample or passes hi.
         raise InvalidValue(
             f"window [{lo}, {hi}] is too narrow for {grid_n} samples")
     flags = [predicate(x, record=True) for x in xs]

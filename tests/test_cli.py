@@ -254,6 +254,8 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
     (("poset", "domain", "{one_map}", "--lower=", "--upper", "succ"), 2, ""),
     (("real", "--lower", "0." + "0" * 319 + "15", "--window", "0", "1e-320"),
      2, ""),
+    (("real", "--upper", "x", "--window", "0", "1e-322"), 2, ""),
+    (("real", "--upper", "x", "--window", "1", "1.000000000000001"), 2, ""),
     (("real", "--upper", "1", "--body", "f(x)", "--window", "0", "4",
       "--grid", "5"), 2, ""),
     (("real", "--upper", "1", "--body", "f(x)", "--window", "0", "4",
@@ -265,7 +267,8 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
         "window-wider-than-floats", "exponent-5000-digits",
         "exponent-past-floats", "midpoint-near-float-max", "max-size-1000000",
         "empty-lower-name", "empty-strict-upper-name", "empty-lower-name-with-upper",
-        "window-narrower-than-grid", "self-referential-body",
+        "window-narrower-than-grid", "window-step-rounds-to-0",
+        "window-repeats-samples", "self-referential-body",
         "self-referential-body-csv"])
 def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
                                                 tmp_path):

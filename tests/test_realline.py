@@ -227,9 +227,10 @@ def _walk(e, x):
             try:
                 return _walk(base, x) ** exponent
             except OverflowError:
+                # The limit of |b| ** n as n grows, signed for odd n.
                 b = _walk(base, x)
-                sign = -1.0 if b < 0 and exponent % 2 else 1.0
-                return sign * math.inf
+                sign = math.copysign(1.0, b) if exponent % 2 else 1.0
+                return sign * abs(b) ** math.inf
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -287,6 +288,60 @@ class TestCompiledMatchesTheWalk:
         with mock.patch.object(realline, "eval_expr", _walk):
             walked = real_domain(lower, upper, window=window, grid_n=n)
         assert repr(compiled) == repr(walked)
+
+
+def _balanced(leaves: int) -> str:
+    """A balanced bound over x and 1.5 with every operator, by levels."""
+    level = ["x", "1.5"] * (leaves // 2)
+    while len(level) > 1:
+        level = [f"({a}{'+*-/'[i % 4]}{b})"
+                 for i, (a, b) in enumerate(zip(level[::2], level[1::2]))]
+    return level[0]
+
+
+class TestCompilerExtremes:
+    # Text is parsed when the test runs, so collection stays cheap.
+    @pytest.mark.parametrize("e", [
+        _parens(MAX_NESTING),
+        _minuses(MAX_NESTING),
+        "x" + "^3" * MAX_NESTING,
+        "(x-0.5)" + "^2" * (MAX_NESTING - 2),
+        _sum(MAX_NESTING + 1),
+        _balanced(2 ** 14),
+        Pow(Num(0.5), 10 ** 5000),
+        Pow(Num(-0.0), 10 ** 5000 + 1),
+        Pow(Num(-2.0), 10 ** 5000 + 1),
+        BinOp("+", Num(3), Pow(X(), 2)),
+        Num(math.inf),
+        Neg(Num(-math.inf)),
+        BinOp("*", Num(math.nan), X()),
+        Pow(Num(-0.0), 3),
+        BinOp("/", SelfRef(), X()),
+        BinOp("/", X(), SelfRef()),
+    ], ids=["parens", "minuses", "odd-powers", "even-powers", "flat-sum",
+            "balanced-16384", "exponent-5001-digits", "-0-to-odd-5001-digits",
+            "-2-to-odd-5001-digits", "int", "inf", "-inf", "nan", "-0",
+            "f(x)-over-x", "x-over-f(x)"])
+    def test_same_outcome_as_the_walk(self, e):
+        if isinstance(e, str):
+            e = parse_expr(e)
+        for x in _SPECIAL:
+            outcome = _outcome(eval_expr, e, x)
+            assert outcome not in (RecursionError, SyntaxError, MemoryError)
+            assert outcome == _outcome(_walk, e, x)
+
+    def test_large_bounds_compile_in_bounded_pieces(self):
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        with mock.patch.object(realline, "compile", spy, create=True):
+            eval_expr(parse_expr(_balanced(2 ** 14)), 1.0)
+        assert len(sources) > 10
+        # A chunk holds its two operands' pieces, the node and def/return.
+        assert max(s.count("\n") for s in sources) <= 2 * realline._CHUNK_LINES + 4
 
 
 class TestResolveSelfReference:
