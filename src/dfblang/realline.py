@@ -18,19 +18,22 @@ regular-expression scan into tokens, then a recursive descent over
 token indices. It refuses operators and parentheses nested deeper than
 ``MAX_NESTING`` levels with a positioned ParseError, so neither parsing
 nor compiling nor evaluating a bound can reach Python's recursion limit.
-Each bound is compiled once, on its first evaluation, into generated
-straight-line Python with one assignment per node in a walk's order, so
-the thousands of evaluations a decision makes cost one call per bound.
+Bounds run as generated straight-line Python, one assignment per node
+in a walk's order. A decision compiles one function that loops over the
+grid with both bounds inline and tests l(x) <= x <= u(x) in place, so its
+thousands of samples cost one call in all; bisection evaluates a bound
+through ``eval_expr``, which compiles it once, on first use, into a
+function of x.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections.abc import Callable
 from functools import cached_property
-from operator import lt
+from itertools import compress, count, islice
+from operator import lt, ne
 
 from .errors import DfbError, InvalidValue, ParseError
 from .record import Record, set_field
@@ -274,6 +277,14 @@ def _overflowed(b, exponent):
     return math.copysign(magnitude, b) if exponent % 2 else magnitude
 
 
+def _double(n: int) -> float:
+    # The IEEE double an int rounds to; past the float range, its infinity.
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
 def _unresolved():
     raise SelfReferenceInBody(
         "unresolved f(x): substitute the body before evaluating")
@@ -284,33 +295,55 @@ def _not_a_node(e):
 
 
 class _Source:
-    """Straight-line functions of x for one bound: one assignment per
-    node, in a recursive walk's order (/ raises DivisionByZero on a 0.0
-    denominator before its numerator, ** turns OverflowError into the
-    signed limit, f(x) and non-nodes raise where reached). No input text
-    enters the source: a finite float enters as its repr, every other
-    value as a name bound in the functions' namespace."""
+    """Generated Python for bounds: one assignment per node, in a
+    recursive walk's order (/ raises DivisionByZero on a 0.0 denominator
+    before its numerator, ** turns OverflowError into the signed limit,
+    f(x) and non-nodes raise where reached). No input text enters the
+    source: a finite float enters as its repr (an int as the double it
+    rounds to), every other value as a name bound in the functions'
+    namespace."""
 
     def __init__(self):
         self.names = {"DivisionByZero": DivisionByZero, "_overflowed": _overflowed,
                       "_unresolved": _unresolved, "_not_a_node": _not_a_node}
         self.lines: list[str] = []
-        self.ids = itertools.count()
+        self.ids = count()
 
     def build(self, e: Expr) -> Callable[[float], float]:
+        """The function of x that evaluates e."""
         result = self.emit(e)
         # Popped, the function and its namespace form no reference cycle.
-        return self.names.pop(self.function(self.lines, result))
+        return self.names.pop(self.define("x", [*self.lines, f"return {result}"]))
+
+    def decide(self, lower: Expr | None, upper: Expr | None
+               ) -> Callable[[list[float], Callable[[float, str], None]], list[bool]]:
+        """The function of (xs, skip) that answers, for each x in xs in
+        order, whether l(x) <= x <= u(x); u is evaluated only where l
+        holds. A sample where a bound divides by zero or is NaN fails
+        and is handed to skip(x, reason) first."""
+        loop = []
+        for bound, test, side in ((lower, "{} <= x", "lower"),
+                                  (upper, "x <= {}", "upper")):
+            if bound is not None:
+                self.lines = []
+                v = self.emit(bound)
+                loop += [*self.lines, f"if not {test.format(v)}:",
+                         f" if {v} != {v}: skip(x, '{side} bound is NaN')",
+                         " flag(False)", " continue"]
+        return self.names.pop(self.define("xs, skip", [
+            "flags = []", "flag = flags.append", "for x in xs:", " try:",
+            *(f"  {line}" for line in loop),
+            " except DivisionByZero:", "  skip(x, 'division by zero')",
+            "  flag(False)", "  continue", " flag(True)", "return flags"]))
 
     def bind(self, value) -> str:
         name = f"c{next(self.ids)}"
         self.names[name] = value
         return name
 
-    def function(self, body: list[str], result: str) -> str:
+    def define(self, params: str, body: list[str]) -> str:
         name = f"c{next(self.ids)}"
-        source = "".join([f"def {name}(x):\n", *(f" {line}\n" for line in body),
-                          f" return {result}\n"])
+        source = "".join([f"def {name}({params}):\n", *(f" {line}\n" for line in body)])
         exec(compile(source, "<bound>", "exec"), self.names)
         return name
 
@@ -320,10 +353,12 @@ class _Source:
         match e:
             case X():
                 return "x"
-            case Num(value) if type(value) is float and math.isfinite(value):
-                text = repr(value)
-                return f"({text})" if text[0] == "-" else text
             case Num(value):
+                if isinstance(value, int):  # hand-built: the parser reads floats
+                    value = _double(value)
+                if type(value) is float and math.isfinite(value):
+                    text = repr(value)
+                    return f"({text})" if text[0] == "-" else text
                 return self.bind(value)
         emit, lines = self.emit, self.lines
         start, v = len(lines), f"v{next(self.ids)}"
@@ -349,15 +384,17 @@ class _Source:
             case _:
                 lines.append(f"{v} = _not_a_node({self.bind(e)})")
         if len(lines) - start > _CHUNK_LINES:
-            lines[start:] = [f"{v} = {self.function(lines[start:], v)}(x)"]
+            chunk = self.define("x", [*lines[start:], f"return {v}"])
+            lines[start:] = [f"{v} = {chunk}(x)"]
         return v
 
 
 def eval_expr(e: Expr, x: float) -> float:
     """IEEE double evaluation; infinities flow through, 0 denominators raise.
 
-    Runs the function e compiled to on its first evaluation; every
-    evaluation of a bound goes through here.
+    Runs the function e compiled to on its first evaluation. Bisection
+    and the CSV writer evaluate bounds here; the grid pass has its own
+    loop, generated from the same code.
     """
     try:
         function = e._closure
@@ -446,6 +483,16 @@ def _grid(window: tuple[float, float], n: int) -> list[float]:
     return xs
 
 
+def _run_edges(flags: list[bool]) -> list[int]:
+    """[i, j, ...] such that each flags[i:j] is a maximal run of True: a
+    run starts and stops where the flag changes, or at either end."""
+    n = len(flags)
+    edges = [*compress(range(1, n), map(ne, flags, islice(flags, 1, None))), n]
+    if flags[0]:
+        edges.insert(0, 0)
+    return edges
+
+
 def real_domain(
     lower: Expr | None,
     upper: Expr | None,
@@ -458,6 +505,8 @@ def real_domain(
     Bounds must already be free of f(x). A sample where a bound divides
     by zero is excluded and recorded; one that evaluates to NaN is
     skipped and recorded likewise. Infinite bound values just compare.
+    The grid is decided in one generated pass; each change of answer
+    between neighbouring samples is then bisected.
     """
     if lower is None and upper is None:
         raise ValueError("at least one bound is required")
@@ -480,76 +529,55 @@ def real_domain(
 
     skipped: list[SkippedSample] = []
 
-    def predicate(x: float, record: bool = False) -> bool:
+    def skip(x: float, reason: str) -> None:
+        skipped.append(SkippedSample(x, reason))
+
+    def holds(x: float) -> bool:
         try:
-            if lower is not None:
-                lx = eval_expr(lower, x)
-                if math.isnan(lx):
-                    if record:
-                        skipped.append(SkippedSample(x, "lower bound is NaN"))
-                    return False
-                if not lx <= x:
-                    return False
-            if upper is not None:
-                ux = eval_expr(upper, x)
-                if math.isnan(ux):
-                    if record:
-                        skipped.append(SkippedSample(x, "upper bound is NaN"))
-                    return False
-                if not x <= ux:
-                    return False
+            return ((lower is None or eval_expr(lower, x) <= x)
+                    and (upper is None or x <= eval_expr(upper, x)))
         except DivisionByZero:
-            if record:
-                skipped.append(SkippedSample(x, "division by zero"))
             return False
-        return True
 
     def refine(a: float, b: float) -> float:
-        # pred differs at a and b; shrink the bracket until it is well
+        # holds differs at a and b; shrink the bracket until it is well
         # inside the tolerance, or until no float lies strictly between
         # a and b, and answer its midpoint.
-        pa = predicate(a)
+        pa = holds(a)
         # (a + b) / 2 would overflow near the top of the float range.
         while b - a > tol / 2:
             mid = a / 2 + b / 2
             if not a < mid < b:
                 break
-            if predicate(mid) == pa:
+            if holds(mid) == pa:
                 a = mid
             else:
                 b = mid
         return a / 2 + b / 2
 
+    # Compiled before the grid exists, so the two never take memory at once.
+    decide = _Source().decide(lower, upper)
     xs = _grid(window, grid_n)
     if not all(map(lt, xs, xs[1:])):
         # Where the step nears the spacing of floats in the window, it
         # rounds to 0, or lo + i * step repeats a sample or passes hi.
         raise InvalidValue(
             f"window [{lo}, {hi}] is too narrow for {grid_n} samples")
-    flags = [predicate(x, record=True) for x in xs]
-
+    edges = _run_edges(decide(xs, skip))
     intervals: list[Interval] = []
-    i = 0
-    while i < grid_n:
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < grid_n and flags[j + 1]:
-            j += 1
+    for i, j in zip(edges[::2], edges[1::2]):
         if i == 0:
             left, touches_left = lo, True
         else:
             left, touches_left = refine(xs[i - 1], xs[i]), False
-        if j == grid_n - 1:
+        if j == grid_n:
             right, touches_right = hi, True
         else:
-            right, touches_right = refine(xs[j], xs[j + 1]), False
+            right, touches_right = refine(xs[j - 1], xs[j]), False
         if intervals and left - intervals[-1].hi <= tol:  # touches the last
             prev = intervals.pop()
             left, touches_left = prev.lo, prev.touches_left_edge
         intervals.append(Interval(left, right, touches_left, touches_right))
-        i = j + 1
     return DomainReport(IntervalSet(tuple(intervals)), window, tol, grid_n,
                         tuple(skipped))
 

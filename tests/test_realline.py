@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import pickle
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT
 from dfblang import realline
 from dfblang.errors import InvalidValue, ParseError
 from dfblang.realline import (
     BinOp,
     DivisionByZero,
+    DomainReport,
     EmptyWindow,
     Interval,
     IntervalSet,
@@ -24,6 +29,7 @@ from dfblang.realline import (
     Pow,
     SelfRef,
     SelfReferenceInBody,
+    SkippedSample,
     X,
     contains_self,
     emit_plot_csv,
@@ -204,6 +210,11 @@ class TestEval:
 def _walk(e, x):
     """Reference: a recursive walk over the tree, one node per call."""
     match e:
+        case Num(int(value)):  # hand-built; its IEEE double, or an infinity
+            try:
+                return float(value)
+            except OverflowError:
+                return math.inf if value > 0 else -math.inf
         case Num(value):
             return value
         case X():
@@ -255,6 +266,8 @@ _exprs = st.recursive(
 _free_exprs = _exprs.filter(lambda e: not contains_self(e))
 _xs = st.sampled_from(_SPECIAL) | st.floats(-1e3, 1e3)
 _ZERO_OVER_ZERO = BinOp("/", Num(1.0), BinOp("-", X(), X()))
+_POLE_AT_HALF = BinOp("+", X(), BinOp("/", Num(1.0), BinOp("-", Num(0.5), X())))
+_NAN_PAST_6 = BinOp("-", Pow(X(), 400), Pow(X(), 400))
 
 
 class TestCompiledMatchesTheWalk:
@@ -279,15 +292,91 @@ class TestCompiledMatchesTheWalk:
         assert outcomes == {"x/0": DivisionByZero, "inf-inf": "nan",
                             "(-10)^401": "-inf", "-0": "-0.0"}
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.none() | _free_exprs, _free_exprs,
+    @settings(max_examples=100, deadline=None)
+    @given(st.none() | _free_exprs, st.none() | _free_exprs,
            st.floats(-50, 50), st.floats(0.5, 50), st.integers(2, 60))
+    @example(None, _POLE_AT_HALF, 0.0, 1.0, 3)  # the pole is a sample
+    @example(_NAN_PAST_6, None, 0.0, 10.0, 21)  # inf - inf past x = 5.9
+    @example(BinOp("-", Pow(X(), 2), Num(3.0)), None, -4.0, 8.0, 9)
+    @example(None, Pow(X(), 3), -4.0, 8.0, 9)
+    @example(X(), _POLE_AT_HALF, -1.0, 3.0, 2)
     def test_real_domain_matches_the_walk(self, lower, upper, a, width, n):
+        assume(lower is not None or upper is not None)
         window = (a, a + width)
-        compiled = real_domain(lower, upper, window=window, grid_n=n)
-        with mock.patch.object(realline, "eval_expr", _walk):
-            walked = real_domain(lower, upper, window=window, grid_n=n)
-        assert repr(compiled) == repr(walked)
+        assert (repr(real_domain(lower, upper, window=window, grid_n=n))
+                == repr(_reference_domain(lower, upper, window, n)))
+
+
+def _reference_domain(lower, upper, window, grid_n, tol=TOL):
+    """Reference decision: one predicate call per sample, through _walk,
+    a scan for runs of holding samples, then bisection at each run end."""
+    skipped = []
+
+    def predicate(x, record=False):
+        try:
+            if lower is not None:
+                lx = _walk(lower, x)
+                if math.isnan(lx):
+                    if record:
+                        skipped.append(SkippedSample(x, "lower bound is NaN"))
+                    return False
+                if not lx <= x:
+                    return False
+            if upper is not None:
+                ux = _walk(upper, x)
+                if math.isnan(ux):
+                    if record:
+                        skipped.append(SkippedSample(x, "upper bound is NaN"))
+                    return False
+                if not x <= ux:
+                    return False
+        except DivisionByZero:
+            if record:
+                skipped.append(SkippedSample(x, "division by zero"))
+            return False
+        return True
+
+    def refine(a, b):
+        pa = predicate(a)
+        while b - a > tol / 2:
+            mid = a / 2 + b / 2
+            if not a < mid < b:
+                break
+            if predicate(mid) == pa:
+                a = mid
+            else:
+                b = mid
+        return a / 2 + b / 2
+
+    lo, hi = window
+    step = (hi - lo) / (grid_n - 1)
+    xs = [lo + i * step for i in range(grid_n)]
+    xs[-1] = hi
+    flags = [predicate(x, record=True) for x in xs]
+    intervals = []
+    i = 0
+    while i < grid_n:
+        if not flags[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < grid_n and flags[j + 1]:
+            j += 1
+        if i == 0:
+            left, touches_left = lo, True
+        else:
+            left, touches_left = refine(xs[i - 1], xs[i]), False
+        if j == grid_n - 1:
+            right, touches_right = hi, True
+        else:
+            right, touches_right = refine(xs[j], xs[j + 1]), False
+        if intervals and left - intervals[-1].hi <= tol:
+            prev = intervals.pop()
+            left, touches_left = prev.lo, prev.touches_left_edge
+        intervals.append(Interval(left, right, touches_left, touches_right))
+        i = j + 1
+    return DomainReport(IntervalSet(tuple(intervals)), window, tol, grid_n,
+                        tuple(skipped))
 
 
 def _balanced(leaves: int) -> str:
@@ -312,6 +401,8 @@ class TestCompilerExtremes:
         Pow(Num(-0.0), 10 ** 5000 + 1),
         Pow(Num(-2.0), 10 ** 5000 + 1),
         BinOp("+", Num(3), Pow(X(), 2)),
+        BinOp("*", Num(-10 ** 400), X()),
+        BinOp("-", Num(2 ** 53 + 1), X()),
         Num(math.inf),
         Neg(Num(-math.inf)),
         BinOp("*", Num(math.nan), X()),
@@ -320,7 +411,8 @@ class TestCompilerExtremes:
         BinOp("/", X(), SelfRef()),
     ], ids=["parens", "minuses", "odd-powers", "even-powers", "flat-sum",
             "balanced-16384", "exponent-5001-digits", "-0-to-odd-5001-digits",
-            "-2-to-odd-5001-digits", "int", "inf", "-inf", "nan", "-0",
+            "-2-to-odd-5001-digits", "int", "int-past-the-float-range",
+            "int-that-rounds", "inf", "-inf", "nan", "-0",
             "f(x)-over-x", "x-over-f(x)"])
     def test_same_outcome_as_the_walk(self, e):
         if isinstance(e, str):
@@ -339,9 +431,33 @@ class TestCompilerExtremes:
 
         with mock.patch.object(realline, "compile", spy, create=True):
             eval_expr(parse_expr(_balanced(2 ** 14)), 1.0)
-        assert len(sources) > 10
-        # A chunk holds its two operands' pieces, the node and def/return.
+            evaluated = len(sources)
+            bound = parse_expr(_balanced(2 ** 14))
+            real_domain(bound, bound, window=(1.0, 2.0), grid_n=5)
+        # The decision compiles both bounds' pieces, then its loop.
+        assert evaluated > 10 and len(sources) - evaluated == 2 * evaluated - 1
+        # A chunk holds its two operands' pieces, the node and def/return;
+        # the loop holds what is left of each bound at its top level.
         assert max(s.count("\n") for s in sources) <= 2 * realline._CHUNK_LINES + 4
+
+    def test_an_int_past_the_float_range_is_an_infinity(self):
+        # 3 ** 10**400 as a Python int never finishes; as a double it
+        # overflows at once. Run in a child, so a regression cannot hang
+        # the suite.
+        code = (
+            "import math\n"
+            "from dfblang.realline import Num, Pow, eval_expr, real_domain\n"
+            "power = Pow(Num(3), 10 ** 400)\n"
+            "assert eval_expr(power, 0.0) == math.inf\n"
+            "report = real_domain(None, power, window=(0.0, 1.0), grid_n=5)\n"
+            "assert [(iv.lo, iv.hi) for iv in report.intervals] == [(0.0, 1.0)]\n"
+            "assert eval_expr(Num(-10 ** 400), 0.0) == -math.inf\n"
+            "assert type(eval_expr(Num(3), 0.0)) is float\n")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src") + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestResolveSelfReference:
@@ -485,6 +601,16 @@ class TestRealDomain:
             for a, b in zip(coarse.intervals, fine.intervals):
                 assert abs(a.lo - b.lo) <= TOL
                 assert abs(a.hi - b.hi) <= TOL
+
+    def test_only_bisection_evaluates_bounds_one_by_one(self):
+        # The grid is decided in one generated pass; eval_expr serves the
+        # bisection at each inner end, and a domain without one needs none.
+        with mock.patch.object(realline, "eval_expr", wraps=eval_expr) as spy:
+            whole = real_domain(parse_expr("x-1"), parse_expr("x+1"))
+            assert spy.call_count == 0
+            real_domain(parse_expr("1"), parse_expr("x+1"))
+        assert _endpoints(whole) == [(-100.0, 100.0, True, True)]
+        assert 0 < spy.call_count < 200
 
     def test_window_must_hold_an_interval(self):
         for window in ((1.0, 1.0), (2.0, 1.0), (-math.inf, 0.0)):
