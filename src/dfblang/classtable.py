@@ -41,27 +41,32 @@ class DuplicateClass(DfbError):
 
 
 class IllFormedType(DfbError):
-    """A type expression with an unknown head, a wrong arity or a stray variable."""
+    """A type expression with an unknown head, a wrong arity or a stray variable.
+
+    ``site`` names the place in the source where a declaration holds the
+    expression; it is empty for a query.
+    """
+
+    site = ""
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return f"{text} in {self.site}" if self.site else text
 
 
 class UnknownClass(IllFormedType):
-    def __init__(self, name: str, site: str = ""):
-        where = f" in {site}" if site else ""
-        super().__init__(f"unknown class {name}{where}")
+    def __init__(self, name: str):
+        super().__init__(f"unknown class {name}")
         self.name = name
-        self.site = site
 
 
 class ArityMismatch(IllFormedType):
-    def __init__(self, name: str, expected: int, got: int, site: str = ""):
-        where = f" in {site}" if site else ""
+    def __init__(self, name: str, expected: int, got: int):
         super().__init__(
-            f"class {name} expects {expected} type argument(s), got {got}{where}"
-        )
+            f"class {name} expects {expected} type argument(s), got {got}")
         self.name = name
         self.expected = expected
         self.got = got
-        self.site = site
 
 
 class CircularInheritance(DfbError):
@@ -72,11 +77,9 @@ class CircularInheritance(DfbError):
 
 
 class UnboundVariable(IllFormedType):
-    def __init__(self, name: str, site: str = ""):
-        where = f" in {site}" if site else ""
-        super().__init__(f"unbound type variable {name}{where}")
+    def __init__(self, name: str):
+        super().__init__(f"unbound type variable {name}")
         self.name = name
-        self.site = site
 
 
 class InvalidExtends(DfbError):
@@ -160,30 +163,25 @@ def _site(decl: ClassDecl, detail: str) -> str:
     return where
 
 
-def require_well_formed(
-    table: ClassTable,
-    expr: TypeExpr,
-    scope: frozenset[str] = frozenset(),
-    site: str = "",
-) -> None:
+def require_well_formed(table: ClassTable, expr: TypeExpr,
+                        scope: frozenset[str] = frozenset()) -> None:
     """Raise unless every head in ``expr`` is a known class at its arity
     and every variable is in ``scope``.
 
     The default empty scope demands a ground type, as queries do; a
-    declaration passes its own parameters. ``site`` names the place in
-    the source for the error message.
+    declaration passes its own parameters.
     """
     if isinstance(expr, Var):
         if expr.name not in scope:
-            raise UnboundVariable(expr.name, site)
+            raise UnboundVariable(expr.name)
         return
     info = table.infos.get(expr.name)
     if info is None:
-        raise UnknownClass(expr.name, site)
+        raise UnknownClass(expr.name)
     if len(expr.args) != info.arity:
-        raise ArityMismatch(expr.name, info.arity, len(expr.args), site)
+        raise ArityMismatch(expr.name, info.arity, len(expr.args))
     for arg in expr.args:
-        require_well_formed(table, arg, scope, site)
+        require_well_formed(table, arg, scope)
 
 
 def _require_well_formed_at(table: ClassTable, expr: TypeExpr,
@@ -193,11 +191,9 @@ def _require_well_formed_at(table: ClassTable, expr: TypeExpr,
     detail; the site's text is built only when the check fails."""
     try:
         require_well_formed(table, expr, scope)
-    except (UnknownClass, UnboundVariable) as exc:
-        raise type(exc)(exc.name, _site(decl, " ".join(detail))) from None
-    except ArityMismatch as exc:
-        raise ArityMismatch(exc.name, exc.expected, exc.got,
-                            _site(decl, " ".join(detail))) from None
+    except IllFormedType as exc:
+        exc.site = _site(decl, " ".join(detail))
+        raise
 
 
 def build_table(program: Program) -> ClassTable:

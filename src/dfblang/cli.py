@@ -114,10 +114,8 @@ def _cmd_poset_domain(args: argparse.Namespace) -> int:
         raise posets.PosetFileError("give at least one of --lower / --upper")
     lower, upper = [None if name is None else _pick_map(maps, name, args.file)
                     for name in (args.lower, args.upper)]
-    spec = posets.DomainSpec(lower, upper,
-                             strict_lower=args.strict and lower is not None,
-                             strict_upper=args.strict and upper is not None)
-    result = posets.dfbf_domain(poset, spec)
+    result = posets.dfbf_domain(poset,
+                                posets.DomainSpec(lower, upper, args.strict))
     print(_format_members(poset, result.members))
     return EXIT_OK
 

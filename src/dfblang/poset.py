@@ -178,24 +178,19 @@ class EndoMap:
 class DomainSpec(Record):
     """Which bounds constrain the argument, and whether strictly.
 
-    At least one bound must be present; a strict flag on an absent bound
-    is meaningless and rejected.
+    At least one bound must be present. ``strict`` applies to each bound
+    that is: an element equal to its bound's value is left out.
     """
 
-    __match_args__ = ("lower", "upper", "strict_lower", "strict_upper")
+    __match_args__ = ("lower", "upper", "strict")
 
     def __init__(self, lower: EndoMap | None = None, upper: EndoMap | None = None,
-                 strict_lower: bool = False, strict_upper: bool = False):
+                 strict: bool = False):
         set_field(self, "lower", lower)
         set_field(self, "upper", upper)
-        set_field(self, "strict_lower", strict_lower)
-        set_field(self, "strict_upper", strict_upper)
+        set_field(self, "strict", strict)
         if lower is None and upper is None:
             raise ValueError("at least one bound is required")
-        if strict_lower and lower is None:
-            raise ValueError("strict_lower without a lower bound")
-        if strict_upper and upper is None:
-            raise ValueError("strict_upper without an upper bound")
 
 
 class DomainResult(Record):
@@ -213,13 +208,13 @@ def dfbf_domain(poset: FinitePoset, spec: DomainSpec) -> DomainResult:
             lx = spec.lower(x)
             if not poset.leq(lx, x):
                 continue
-            if spec.strict_lower and lx == x:
+            if spec.strict and lx == x:
                 continue
         if spec.upper is not None:
             ux = spec.upper(x)
             if not poset.leq(x, ux):
                 continue
-            if spec.strict_upper and ux == x:
+            if spec.strict and ux == x:
                 continue
         members.add(x)
     return DomainResult(frozenset(members))
@@ -276,10 +271,10 @@ def recursive_domain_gfp(
 
 def theorem_check(poset: FinitePoset, g: EndoMap, strict: bool = True) -> bool:
     """One-shot domain equals self-referential domain, above and below."""
-    upper = dfbf_domain(poset, DomainSpec(upper=g, strict_upper=strict))
+    upper = dfbf_domain(poset, DomainSpec(upper=g, strict=strict))
     if upper.members != recursive_domain_gfp(poset, g, strict, "upper").members:
         return False
-    lower = dfbf_domain(poset, DomainSpec(lower=g, strict_lower=strict))
+    lower = dfbf_domain(poset, DomainSpec(lower=g, strict=strict))
     return lower.members == recursive_domain_gfp(poset, g, strict, "lower").members
 
 

@@ -20,7 +20,7 @@ from itertools import product
 from .classtable import ClassTable, require_well_formed, superclass_of
 from .errors import InvalidValue
 from .record import Record, set_field
-from .syntax import App, NULL, OBJECT, TypeExpr, render
+from .syntax import App, MAX_NESTING, NULL, OBJECT, TypeExpr, render
 
 # Ground types one enumeration may produce. Each depth level multiplies
 # the count (by k for k unary classes), so the budget is checked on the
@@ -55,7 +55,8 @@ def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
     Nullary applications have depth 0; ``C<ts>`` has depth one more than
     its deepest argument. For a table of k unary classes the counts obey
     n(d+1) = 2 + k * n(d) with n(0) = 2, the 2 being Null and Object.
-    A depth whose count would exceed MAX_GRAPH_NODES is rejected.
+    A depth whose count would exceed MAX_GRAPH_NODES is rejected, and so
+    is one past the parser's MAX_NESTING, whose types no query could name.
     """
     if depth < 0:
         raise InvalidValue(f"depth must be nonnegative, got {depth}")
@@ -75,6 +76,9 @@ def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
         if count > MAX_GRAPH_NODES:
             raise InvalidValue(
                 f"depth {depth} enumerates more than {MAX_GRAPH_NODES} ground types")
+    if depth > MAX_NESTING:
+        raise InvalidValue(
+            f"depth {depth} nests deeper than {MAX_NESTING} levels")
     current: set[TypeExpr] = set(base)
     for _ in range(depth):
         grown = set(base)

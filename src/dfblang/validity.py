@@ -7,14 +7,15 @@ Two gates apply to an instantiation ``C<A1, .., Ak>``:
 * valid: admittable, and each argument sits between its substituted
   bounds, ``Li[A/T] <: Ai <: Ui[A/T]``.
 
-Validity of ``C<As>`` costs exactly 2k subtype queries. The bound
-instantiations themselves (``Enum<Color>`` when checking ``Color``
-against ``class Enum<T extends Enum<T>>``) are never validity-checked
-in turn: in the bound-declaration context an admittable argument is
-already valid, so there is nothing left to recurse on. Every subtype
-query performed is recorded in the verdict's log with the instantiation
-that triggered it, which is how tests observe that no bound-side
-re-check ever happens and that the query count stays at most
+Validity of ``C<As>`` costs exactly 2k subtype queries. The paper's
+coinductive reading says an admittable argument inside a bound counts
+as valid without a re-check, and :func:`check_type` follows it by never
+walking into bounds: the bound instantiations themselves (``Enum<Color>``
+when checking ``Color`` against ``class Enum<T extends Enum<T>>``) are
+only ever operands of subtype queries, never judged in turn. Every
+subtype query performed is recorded in the verdict's log with the
+instantiation that triggered it, which is how tests observe that no
+bound-side re-check ever happens and that the query count stays at most
 2 * (number of applications) * (maximum arity) for a full deep check.
 """
 
@@ -38,43 +39,29 @@ class NotAdmittable(DfbError):
 class Status(enum.Enum):
     VALID = "valid"
     INVALID = "invalid"
-    ADMITTABLE = "admittable"
-
-
-class Context(enum.Enum):
-    """Where an instantiation is being judged.
-
-    Bounds declared on a parameter list are read in BOUND context, where
-    admittable arguments count as valid outright; everything else is
-    ORDINARY context, where bounds are actually enforced.
-    """
-
-    ORDINARY = "ordinary"
-    BOUND = "bound"
 
 
 class QueryRecord(Record):
     """One subtype query, tagged with the instantiation that issued it.
 
-    ``origin`` is the Context value of the judgement that asked.
+    Its JSON form keeps the field ``"origin": "ordinary"``: every query
+    is asked outside any bound.
     """
 
-    __slots__ = ("left", "right", "subject", "origin")
+    __slots__ = ("left", "right", "subject")
     __match_args__ = __slots__
 
-    def __init__(self, left: TypeExpr, right: TypeExpr, subject: TypeExpr,
-                 origin: str):
+    def __init__(self, left: TypeExpr, right: TypeExpr, subject: TypeExpr):
         set_field(self, "left", left)
         set_field(self, "right", right)
         set_field(self, "subject", subject)
-        set_field(self, "origin", origin)
 
     def as_dict(self) -> dict[str, str]:
         return {
             "left": render(self.left),
             "right": render(self.right),
             "subject": render(self.subject),
-            "origin": self.origin,
+            "origin": "ordinary",
         }
 
 
@@ -115,17 +102,12 @@ def is_admittable(table: ClassTable, class_name: str,
     return True
 
 
-def is_valid_argument(
-    table: ClassTable,
-    class_name: str,
-    args: tuple[TypeExpr, ...],
-    context: Context = Context.ORDINARY,
-) -> Verdict:
+def is_valid_argument(table: ClassTable, class_name: str,
+                      args: tuple[TypeExpr, ...]) -> Verdict:
     """Judge the arguments of a single instantiation against its bounds.
 
     All parameters are checked even after a failure, so the verdict
-    reports every violated bound. In BOUND context the bounds are not
-    consulted at all and the verdict is ADMITTABLE with an empty log.
+    reports every violated bound.
     """
     args = tuple(args)
     if not is_admittable(table, class_name, args):
@@ -133,8 +115,6 @@ def is_valid_argument(
             f"{render(App(class_name, args))} is not admittable: arguments "
             f"must be ground, arity-correct types over the table"
         )
-    if context is Context.BOUND:
-        return Verdict(Status.ADMITTABLE)
     subject = App(class_name, args)
     info = table.info(class_name)
     log: list[QueryRecord] = []
@@ -142,13 +122,13 @@ def is_valid_argument(
     for pname, arg, (lo, hi) in zip(
         info.param_names, args, bounds_of(table, class_name, args)
     ):
-        log.append(QueryRecord(lo, arg, subject, context.value))
+        log.append(QueryRecord(lo, arg, subject))
         if not is_subtype(table, lo, arg):
             reasons.append(
                 f"{render(lo)} is not a subtype of {render(arg)} "
                 f"(lower bound of {pname} in {class_name})"
             )
-        log.append(QueryRecord(arg, hi, subject, context.value))
+        log.append(QueryRecord(arg, hi, subject))
         if not is_subtype(table, arg, hi):
             reasons.append(
                 f"{render(arg)} is not a subtype of {render(hi)} "
@@ -161,9 +141,9 @@ def is_valid_argument(
 def check_type(table: ClassTable, t: TypeExpr) -> Verdict:
     """Validate a ground type and, recursively, its argument subterms.
 
-    Arguments appear in ordinary context, so each nested instantiation
-    is judged once, outermost first, left to right. Bound instantiations
-    produced along the way are exempt and contribute nothing to the log.
+    Each nested instantiation among the arguments is judged once,
+    outermost first, left to right. The walk never enters a bound, so
+    bound instantiations are only ever operands of the logged queries.
     """
     if isinstance(t, Var):
         raise NotAdmittable(f"{render(t)} is a type variable, not a ground type")

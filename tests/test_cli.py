@@ -202,9 +202,26 @@ def _draws_past_the_cap(seed: int) -> bool:
 THEOREM_SEED = next(s for s in range(100) if _draws_past_the_cap(s))
 
 
+def _unary_dot(depth: int) -> str:
+    """`dfb graph --depth` on `class C<T> {}`, worked out by hand.
+
+    The nodes are Null, Object and C^k<Null>, C^k<Object> for k = 1 to
+    depth. Each C node's superclass is Object, and nothing extends C, so
+    Null points at every C node.
+    """
+    nested = [f"{'C<' * k}{leaf}{'>' * k}"
+              for k in range(1, depth + 1) for leaf in ("Null", "Object")]
+    nodes = sorted(["Null", "Object", *nested])
+    edges = sorted([(n, "Object") for n in nested] + [("Null", n) for n in nested])
+    return "\n".join(["digraph subtyping {", *(f'  "{n}";' for n in nodes),
+                      *(f'  "{a}" -> "{b}";' for a, b in edges), "}"]) + "\n"
+
+
 def _unreadable_files(tmp_path) -> dict[str, str]:
-    """Input files no command can use as asked, by placeholder name."""
+    """Input files the rows below name, by placeholder name: all but
+    `unary` are files no command can use as asked."""
     files = {
+        "unary": b"class C<T> {}\n",
         "dup": '{"elements": ["a", "b", "a"], "covers": [], "maps": {}}'.encode(),
         "bad_map": '{"elements": ["a"], "maps": {"m": {"a": "zz"}}}'.encode(),
         "one_map": '{"elements": ["a"], "maps": {"succ": {"a": "a"}}}'.encode(),
@@ -260,6 +277,8 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
       "--grid", "5"), 2, ""),
     (("real", "--upper", "1", "--body", "f(x)", "--window", "0", "4",
       "--grid", "5", "--csv", "{enum}.csv"), 2, ""),
+    (("graph", "{unary}", "--depth", "201"), 2, ""),
+    (("graph", "{unary}", "--depth", "200"), 0, _unary_dot(200)),
 ], ids=["negative-depth", "duplicate-labels", "grid-1", "max-size-100",
         "nested-3000", "tol-1e-20", "parens-200", "sum-1000", "minus-3000",
         "depth-1e9", "grid-1000001", "check-not-utf8", "graph-not-utf8",
@@ -269,7 +288,7 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
         "empty-lower-name", "empty-strict-upper-name", "empty-lower-name-with-upper",
         "window-narrower-than-grid", "window-step-rounds-to-0",
         "window-repeats-samples", "self-referential-body",
-        "self-referential-body-csv"])
+        "self-referential-body-csv", "depth-past-nesting", "depth-at-nesting"])
 def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
                                                 tmp_path):
     files = _unreadable_files(tmp_path)

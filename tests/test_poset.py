@@ -236,16 +236,11 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec()
 
-    def test_strict_flag_needs_its_bound(self, chain4):
-        _, succ = chain4
-        with pytest.raises(ValueError):
-            DomainSpec(upper=succ, strict_lower=True)
-
 
 class TestDfbfDomain:
     def test_upper_strict_on_the_chain(self, chain4):
         poset, succ = chain4
-        result = dfbf_domain(poset, DomainSpec(upper=succ, strict_upper=True))
+        result = dfbf_domain(poset, DomainSpec(upper=succ, strict=True))
         assert result.members == {"a", "b", "c"}
 
     def test_upper_nonstrict_keeps_the_fixed_point(self, chain4):
@@ -257,7 +252,7 @@ class TestDfbfDomain:
         poset, succ = chain4
         assert dfbf_domain(poset, DomainSpec(lower=succ)).members == {"d"}
         assert dfbf_domain(
-            poset, DomainSpec(lower=succ, strict_lower=True)).members == set()
+            poset, DomainSpec(lower=succ, strict=True)).members == set()
 
     def test_oracle_agreement_on_the_chain(self, chain4):
         # Independent reading: enumerate each element against the raw
@@ -265,7 +260,7 @@ class TestDfbfDomain:
         poset, succ = chain4
         expected = {x for x in poset.elements
                     if poset.leq(x, succ(x)) and succ(x) != x}
-        got = dfbf_domain(poset, DomainSpec(upper=succ, strict_upper=True))
+        got = dfbf_domain(poset, DomainSpec(upper=succ, strict=True))
         assert got.members == expected
 
     def test_equal_bounds_nonstrict_are_the_fixed_points(self, chain4):
@@ -276,8 +271,7 @@ class TestDfbfDomain:
 
     def test_equal_bounds_strict_both_sides_empty(self, chain4):
         poset, succ = chain4
-        spec = DomainSpec(lower=succ, upper=succ,
-                          strict_lower=True, strict_upper=True)
+        spec = DomainSpec(lower=succ, upper=succ, strict=True)
         assert dfbf_domain(poset, spec).members == frozenset()
 
     @PROPERTY_SETTINGS
@@ -293,8 +287,7 @@ class TestDfbfDomain:
     def test_strict_sandwich_is_always_empty(self, poset_and_map):
         # x < f(x) and f(x) < x together contradict antisymmetry.
         poset, f = poset_and_map
-        spec = DomainSpec(lower=f, upper=f,
-                          strict_lower=True, strict_upper=True)
+        spec = DomainSpec(lower=f, upper=f, strict=True)
         assert dfbf_domain(poset, spec).members == frozenset()
 
     @PROPERTY_SETTINGS

@@ -76,10 +76,6 @@ def _verdict_post(self):
 def _spec_post(self):
     if self.lower is None and self.upper is None:
         raise ValueError("at least one bound is required")
-    if self.strict_lower and self.lower is None:
-        raise ValueError("strict_lower without a lower bound")
-    if self.strict_upper and self.upper is None:
-        raise ValueError("strict_upper without an upper bound")
 
 
 def _pow_post(self):
@@ -124,15 +120,14 @@ REF = {
                                        "extends_clause"]),
     "ClassTable": _frozen("ClassTable", ["infos", ("warnings", tuple, field(default=()))]),
     "GroundGraph": _frozen("GroundGraph", ["nodes", "edges"]),
-    "QueryRecord": _frozen("QueryRecord", ["left", "right", "subject", "origin"]),
+    "QueryRecord": _frozen("QueryRecord", ["left", "right", "subject"]),
     "Verdict": _frozen("Verdict", ["status", ("reasons", tuple, field(default=())),
                                    ("query_log", tuple, field(default=()))],
                        _post(_verdict_post)),
     "DomainSpec": _frozen(
         "DomainSpec", [("lower", object, field(default=None)),
                        ("upper", object, field(default=None)),
-                       ("strict_lower", bool, field(default=False)),
-                       ("strict_upper", bool, field(default=False))],
+                       ("strict", bool, field(default=False))],
         _post(_spec_post)),
     "DomainResult": _frozen("DomainResult", ["members"]),
     "Num": _frozen("Num", ["value"]),
@@ -209,14 +204,14 @@ SAMPLES = {
                    S("ClassTable", {}, (S("Diagnostic", "warning", "C", "m"),))],
     "GroundGraph": [S("GroundGraph", frozenset({C_NULL}), frozenset()),
                     S("GroundGraph", frozenset(), frozenset())],
-    "QueryRecord": [S("QueryRecord", C_NULL, C_NULL, C_NULL, "ordinary"),
-                    S("QueryRecord", C_NULL, C_NULL, C_NULL, "bound")],
+    "QueryRecord": [S("QueryRecord", C_NULL, C_NULL, C_NULL),
+                    S("QueryRecord", C_NULL, C_NULL, C_T)],
     "Verdict": [S("Verdict", validity.Status.VALID),
                 S("Verdict", validity.Status.INVALID, ("r",)),
                 S("Verdict", validity.Status.VALID, (),
-                  (S("QueryRecord", C_NULL, C_NULL, C_NULL, "ordinary"),))],
-    "DomainSpec": [S("DomainSpec", SUCC), S("DomainSpec", upper=SUCC, strict_upper=True),
-                   S("DomainSpec", SUCC, SUCC, True, True)],
+                  (S("QueryRecord", C_NULL, C_NULL, C_NULL),))],
+    "DomainSpec": [S("DomainSpec", SUCC), S("DomainSpec", upper=SUCC, strict=True),
+                   S("DomainSpec", SUCC, SUCC, True)],
     "DomainResult": [S("DomainResult", frozenset({"a"})), S("DomainResult", frozenset())],
     "Num": [S("Num", 1.0), S("Num", 1), S("Num", -0.0), S("Num", NAN), S("Num", 2.5)],
     "X": [S("X"), S("X")],
@@ -241,8 +236,8 @@ REFUSED = [
     S("ClassDecl", "C", (S("TypeParamDecl", "T"), S("TypeParamDecl", "T"))),
     S("ClassDecl", "é"),
     S("Verdict", validity.Status.INVALID), S("Verdict", validity.Status.VALID, ("r",)),
-    S("DomainSpec"), S("DomainSpec", strict_lower=True, upper=SUCC),
-    S("DomainSpec", SUCC, strict_upper=True), S("Pow", S("X"), -1),
+    S("DomainSpec"), S("DomainSpec", strict=True), S("DomainSpec", None, None, True),
+    S("Pow", S("X"), -1),
     S("Interval", 1.0, 0.0), S("IntervalSet", (IV, IV)),
 ]
 

@@ -21,7 +21,18 @@ from dfblang.subtyping import (
     require_well_formed,
     superclass_chain,
 )
-from dfblang.syntax import App, NULL, OBJECT, Var, parse_program, parse_type, render
+from dfblang.syntax import (
+    App,
+    ClassDecl,
+    NULL,
+    OBJECT,
+    Program,
+    TypeParamDecl,
+    Var,
+    parse_program,
+    parse_type,
+    render,
+)
 
 
 class TestIsSubtype:
@@ -100,8 +111,18 @@ class TestWellFormed:
     ])
     def test_each_fault_has_its_own_error_and_site(self, bad, error,
                                                    showcase_table):
-        with pytest.raises(error, match=r" in the query$"):
-            require_well_formed(showcase_table, bad, site="the query")
+        message = {UnboundVariable: "unbound type variable T",
+                   UnknownClass: "unknown class Zorp",
+                   ArityMismatch: "class C expects 1 type argument(s), got 0"}[error]
+        with pytest.raises(error) as exc:
+            require_well_formed(showcase_table, bad)
+        assert (str(exc.value), exc.value.site) == (message, "")
+        # The same fault as the upper bound of a declaration names its site.
+        k = ClassDecl("K", (TypeParamDecl("U", upper=bad),), pos=(2, 1))
+        program = Program(parse_program("class C<T> {}").decls + (k,))
+        with pytest.raises(error) as exc:
+            build_table(program)
+        assert str(exc.value) == f"{message} in class K, upper bound of U (line 2)"
 
 
 class TestEnumerateGround:

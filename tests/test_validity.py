@@ -1,4 +1,4 @@
-"""Admittable vs valid arguments, the context rule, and the query log."""
+"""Admittable vs valid arguments, no re-check inside bounds, and the query log."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from dfblang.syntax import (
     render,
 )
 from dfblang.validity import (
-    Context,
     NotAdmittable,
     Status,
     check_type,
@@ -115,17 +114,9 @@ class TestIsValidArgument:
 
 
 class TestBoundContext:
-    def test_admittable_counts_as_valid_without_queries(self, enum_table):
-        verdict = is_valid_argument(enum_table, "Enum", (OBJECT,),
-                                    context=Context.BOUND)
-        assert verdict.status is Status.ADMITTABLE
-        assert verdict.query_log == ()
-        assert verdict.reasons == ()
-
     def test_admittability_still_required(self, enum_table):
         with pytest.raises(NotAdmittable):
-            is_valid_argument(enum_table, "Enum", (App("Enum"),),
-                              context=Context.BOUND)
+            is_valid_argument(enum_table, "Enum", (App("Enum"),))
 
 
 class TestCheckType:
@@ -183,7 +174,7 @@ class TestCheckType:
     def test_no_query_ever_originates_from_a_bound(self, enum_table):
         for t in enumerate_ground(enum_table, 2):
             verdict = check_type(enum_table, t)
-            assert all(q.origin == Context.ORDINARY.value
+            assert all(q.as_dict()["origin"] == "ordinary"
                        for q in verdict.query_log), render(t)
 
     def test_bound_side_instantiations_are_never_subjects(self, enum_table):
