@@ -180,15 +180,16 @@ def _cmd_real(args: argparse.Namespace) -> int:
         window=(args.window[0], args.window[1]),
         grid_n=args.grid, tol=args.tol,
     )
+    # Written before the answer, so an unwritable path prints nothing.
+    if args.csv is not None:
+        realline.emit_plot_csv(args.csv, report, body,
+                               bounds["lower"], bounds["upper"])
     if len(report.intervals):
         print(" ∪ ".join(_format_interval(iv) for iv in report.intervals))
     else:
         print("(empty)")
     for skip in report.skipped:
         print(f"skipped x = {skip.x!r}: {skip.reason}", file=sys.stderr)
-    if args.csv is not None:
-        realline.emit_plot_csv(args.csv, report, body,
-                               bounds["lower"], bounds["upper"])
     return EXIT_OK
 
 

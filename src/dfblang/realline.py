@@ -18,22 +18,24 @@ regular-expression scan into tokens, then a recursive descent over
 token indices. It refuses operators and parentheses nested deeper than
 ``MAX_NESTING`` levels with a positioned ParseError, so neither parsing
 nor compiling nor evaluating a bound can reach Python's recursion limit.
-Bounds run as generated straight-line Python, one assignment per node
-in a walk's order. A decision compiles one function that loops over the
-grid with both bounds inline and tests l(x) <= x <= u(x) in place, so its
-thousands of samples cost one call in all; bisection evaluates a bound
-through ``eval_expr``, which compiles it once, on first use, into a
-function of x.
+Bounds run as generated Python: nested expressions, with a statement
+only where something can raise. A decision compiles one function that
+loops over the grid with both bounds inline, tests l(x) <= x <= u(x) in
+place and appends 1 or 0 to a bytearray, so its thousands of samples
+cost one call in all and ``bytearray.find`` reads off the runs;
+bisection evaluates a bound through ``eval_expr``, which compiles it
+once, on first use, into a function of x.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Callable
 from functools import cached_property
-from itertools import compress, count, islice
-from operator import lt, ne
+from itertools import count, islice
+from operator import lt
 
 from .errors import DfbError, InvalidValue, ParseError
 from .record import Record, set_field
@@ -268,6 +270,9 @@ def resolve_self_reference(bound: Expr, body: Expr) -> Expr:
 # A subtree whose code passes this many lines becomes a function of its
 # own, so that compile() never holds much more than that at once.
 _CHUNK_LINES = 256
+# An inline expression past this many nodes is assigned to a name: lines
+# stay short and parentheses nest far below the parser's 200 levels.
+_INLINE_NODES = 32
 
 
 def _overflowed(b, exponent):
@@ -277,12 +282,15 @@ def _overflowed(b, exponent):
     return math.copysign(magnitude, b) if exponent % 2 else magnitude
 
 
-def _double(n: int) -> float:
-    # The IEEE double an int rounds to; past the float range, its infinity.
-    try:
-        return float(n)
-    except OverflowError:
-        return math.inf if n > 0 else -math.inf
+def _as_double(value) -> float | None:
+    # A literal's float; an int's double, or past the float range its
+    # infinity (hand-built: the parser reads floats); else None.
+    if isinstance(value, int):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    return value if type(value) is float else None
 
 
 def _unresolved():
@@ -295,13 +303,16 @@ def _not_a_node(e):
 
 
 class _Source:
-    """Generated Python for bounds: one assignment per node, in a
-    recursive walk's order (/ raises DivisionByZero on a 0.0 denominator
-    before its numerator, ** turns OverflowError into the signed limit,
-    f(x) and non-nodes raise where reached). No input text enters the
-    source: a finite float enters as its repr (an int as the double it
-    rounds to), every other value as a name bound in the functions'
-    namespace."""
+    """Generated Python for bounds, as nested expressions: +, -, * and
+    unary minus sit inline in their parent's expression, as on floats
+    they never raise, and a negated literal folds into the literal. Only
+    what can raise is a statement, in a recursive walk's order: / raises
+    DivisionByZero on a 0.0 denominator before its numerator runs, **
+    turns OverflowError into the signed limit, f(x) and non-nodes raise
+    where reached; so is every operation above a constant that is not a
+    float. No input text enters the source: a finite float enters as its
+    repr (an int as the double it rounds to), every other value as a name
+    bound in the functions' namespace."""
 
     def __init__(self):
         self.names = {"DivisionByZero": DivisionByZero, "_overflowed": _overflowed,
@@ -311,35 +322,40 @@ class _Source:
 
     def build(self, e: Expr) -> Callable[[float], float]:
         """The function of x that evaluates e."""
-        result = self.emit(e)
+        result, _, _ = self.emit(e)
         # Popped, the function and its namespace form no reference cycle.
         return self.names.pop(self.define("x", [*self.lines, f"return {result}"]))
 
-    def decide(self, lower: Expr | None, upper: Expr | None
-               ) -> Callable[[list[float], Callable[[float, str], None]], list[bool]]:
+    def decide(self, lower: Expr | None, upper: Expr | None) -> Callable:
         """The function of (xs, skip) that answers, for each x in xs in
-        order, whether l(x) <= x <= u(x); u is evaluated only where l
-        holds. A sample where a bound divides by zero or is NaN fails
-        and is handed to skip(x, reason) first."""
+        order, 1 if l(x) <= x <= u(x) and 0 if not; u is evaluated only
+        where l holds. A sample where a bound divides by zero or is NaN
+        fails and is handed to skip(x, reason) first."""
         loop = []
         for bound, test, side in ((lower, "{} <= x", "lower"),
                                   (upper, "x <= {}", "upper")):
             if bound is not None:
                 self.lines = []
-                v = self.emit(bound)
+                text, nodes, _ = self.emit(bound)
+                v = text if nodes == 1 else self.assign(text)
                 loop += [*self.lines, f"if not {test.format(v)}:",
                          f" if {v} != {v}: skip(x, '{side} bound is NaN')",
-                         " flag(False)", " continue"]
+                         " flag(0)", " continue"]
         return self.names.pop(self.define("xs, skip", [
-            "flags = []", "flag = flags.append", "for x in xs:", " try:",
+            "flags = bytearray()", "flag = flags.append", "for x in xs:", " try:",
             *(f"  {line}" for line in loop),
             " except DivisionByZero:", "  skip(x, 'division by zero')",
-            "  flag(False)", "  continue", " flag(True)", "return flags"]))
+            "  flag(0)", "  continue", " flag(1)", "return flags"]))
 
     def bind(self, value) -> str:
         name = f"c{next(self.ids)}"
         self.names[name] = value
         return name
+
+    def assign(self, text: str) -> str:
+        v = f"v{next(self.ids)}"
+        self.lines.append(f"{v} = {text}")
+        return v
 
     def define(self, params: str, body: list[str]) -> str:
         name = f"c{next(self.ids)}"
@@ -347,54 +363,66 @@ class _Source:
         exec(compile(source, "<bound>", "exec"), self.names)
         return name
 
-    def emit(self, e) -> str:
-        """Append the assignments that evaluate e to lines, operands
-        before the node; answer the operand that then holds its value."""
+    def emit(self, e) -> tuple[str, int, bool]:
+        """Append the statements e needs to lines, operands before the
+        node; answer the expression that then gives its value, the nodes
+        it holds, and whether only floats flow through it."""
         match e:
             case X():
-                return "x"
+                return "x", 1, True
+            case Num(value) | Neg(Num(value)) if (double := _as_double(value)) is not None:
+                value = -double if isinstance(e, Neg) else double
+                if not math.isfinite(value):
+                    return self.bind(value), 1, True
+                text = repr(value)
+                return (f"({text})" if text[0] == "-" else text), 1, True
             case Num(value):
-                if isinstance(value, int):  # hand-built: the parser reads floats
-                    value = _double(value)
-                if type(value) is float and math.isfinite(value):
-                    text = repr(value)
-                    return f"({text})" if text[0] == "-" else text
-                return self.bind(value)
-        emit, lines = self.emit, self.lines
-        start, v = len(lines), f"v{next(self.ids)}"
+                return self.bind(value), 1, False
+        emit, lines, start = self.emit, self.lines, len(self.lines)
         match e:
             case Neg(operand):
-                lines.append(f"{v} = -{emit(operand)}")
-            case BinOp("+", left, right):
-                lines.append(f"{v} = {emit(left)} + {emit(right)}")
-            case BinOp("-", left, right):
-                lines.append(f"{v} = {emit(left)} - {emit(right)}")
-            case BinOp("*", left, right):
-                lines.append(f"{v} = {emit(left)} * {emit(right)}")
+                a, n, floats = emit(operand)
+                text, nodes = f"(-{a})", n + 1
+            case BinOp("+" | "-" | "*" as op, left, right):
+                a, m, left_floats = emit(left)
+                b, n, floats = emit(right)
+                text, nodes, floats = f"({a} {op} {b})", m + n + 1, left_floats and floats
             case BinOp("/", left, right):
-                d = emit(right)
-                lines.append(f"if {d} == 0.0: raise DivisionByZero(x)")
-                lines.append(f"{v} = {emit(left)} / {d}")
+                d, n, right_floats = emit(right)
+                test = d
+                if n > 1:  # named as it is tested, for the division to read
+                    d = f"v{next(self.ids)}"
+                    test = f"({d} := {test})"
+                lines.append(f"if {test} == 0.0: raise DivisionByZero(x)")
+                a, m, floats = emit(left)
+                text, nodes, floats = f"({a} / {d})", m + 2, floats and right_floats
             case Pow(base, exponent):
-                b, n = emit(base), self.bind(exponent)
+                b, _, floats = emit(base)
+                v, n = f"v{next(self.ids)}", self.bind(exponent)
                 lines.append(f"try: {v} = {b} ** {n}")
                 lines.append(f"except OverflowError: {v} = _overflowed({b}, {n})")
+                # A float to an int power is a float; to any other, maybe not.
+                text, nodes, floats = v, 1, floats and type(exponent) is int
             case SelfRef():
-                lines.append(f"{v} = _unresolved()")
+                text, nodes, floats = self.assign("_unresolved()"), 1, True
             case _:
-                lines.append(f"{v} = _not_a_node({self.bind(e)})")
+                text, nodes, floats = self.assign(f"_not_a_node({self.bind(e)})"), 1, True
+        if nodes > 1 and (nodes > _INLINE_NODES or not floats):
+            text, nodes = self.assign(text), 1
         if len(lines) - start > _CHUNK_LINES:
-            chunk = self.define("x", [*lines[start:], f"return {v}"])
-            lines[start:] = [f"{v} = {chunk}(x)"]
-        return v
+            chunk = self.define("x", [*lines[start:], f"return {text}"])
+            del lines[start:]
+            text, nodes = self.assign(f"{chunk}(x)"), 1
+        return text, nodes, floats
 
 
 def eval_expr(e: Expr, x: float) -> float:
     """IEEE double evaluation; infinities flow through, 0 denominators raise.
 
-    Runs the function e compiled to on its first evaluation. Bisection
-    and the CSV writer evaluate bounds here; the grid pass has its own
-    loop, generated from the same code.
+    Runs the function e compiled to on its first evaluation: nested
+    expressions, with a statement only where something can raise.
+    Bisection and the CSV writer evaluate bounds here; the grid pass has
+    its own loop, generated from the same code.
     """
     try:
         function = e._closure
@@ -483,23 +511,35 @@ def _grid(window: tuple[float, float], n: int) -> list[float]:
     return xs
 
 
-def _run_edges(flags: list[bool]) -> list[int]:
-    """[i, j, ...] such that each flags[i:j] is a maximal run of True: a
-    run starts and stops where the flag changes, or at either end."""
-    n = len(flags)
-    edges = [*compress(range(1, n), map(ne, flags, islice(flags, 1, None))), n]
-    if flags[0]:
-        edges.insert(0, 0)
+def _surely_increasing(lo: float, hi: float, n: int) -> bool:
+    """Whether the samples of _grid((lo, hi), n) must strictly increase.
+
+    Rounding is monotone, so samples never decrease; they fail only where
+    two are equal or the last computed one reaches hi. With u the ulp of
+    max(-lo, hi): hi - lo rounds by at most u, a normal step by 2**-53 of
+    itself (about u over n - 1 steps), i * step by 2u, lo + i * step by
+    u. A step over 8u keeps the samples apart and below hi; 64u leaves
+    room. A subnormal step rounds by half its own ulp, which n - 1 steps
+    can grow past any multiple of u."""
+    step = (hi - lo) / (n - 1)
+    return step >= sys.float_info.min and step > 64 * math.ulp(max(-lo, hi))
+
+
+def _run_edges(flags: bytearray) -> list[int]:
+    """[i, j, ..., len(flags)] such that each flags[i:j] is a maximal run
+    of 1s; find() gives each edge, so the cost grows with the runs."""
+    edges, i, want = [], 0, 1
+    while (i := flags.find(want, i)) >= 0:
+        edges.append(i)
+        want ^= 1
+    edges.append(len(flags))
     return edges
 
 
-def real_domain(
-    lower: Expr | None,
-    upper: Expr | None,
-    window: tuple[float, float] = DEFAULT_WINDOW,
-    grid_n: int = DEFAULT_GRID_N,
-    tol: float = DEFAULT_TOL,
-) -> DomainReport:
+def real_domain(lower: Expr | None, upper: Expr | None,
+                window: tuple[float, float] = DEFAULT_WINDOW,
+                grid_n: int = DEFAULT_GRID_N, tol: float = DEFAULT_TOL
+                ) -> DomainReport:
     """Decide {x : l(x) <= x <= u(x)} inside the window.
 
     Bounds must already be free of f(x). A sample where a bound divides
@@ -558,9 +598,8 @@ def real_domain(
     # Compiled before the grid exists, so the two never take memory at once.
     decide = _Source().decide(lower, upper)
     xs = _grid(window, grid_n)
-    if not all(map(lt, xs, xs[1:])):
-        # Where the step nears the spacing of floats in the window, it
-        # rounds to 0, or lo + i * step repeats a sample or passes hi.
+    if not (_surely_increasing(lo, hi, grid_n)
+            or all(map(lt, xs, islice(xs, 1, None)))):
         raise InvalidValue(
             f"window [{lo}, {hi}] is too narrow for {grid_n} samples")
     edges = _run_edges(decide(xs, skip))
@@ -582,13 +621,8 @@ def real_domain(
                         tuple(skipped))
 
 
-def emit_plot_csv(
-    path: str,
-    report: DomainReport,
-    body: Expr | None = None,
-    lower: Expr | None = None,
-    upper: Expr | None = None,
-) -> None:
+def emit_plot_csv(path: str, report: DomainReport, body: Expr | None = None,
+                  lower: Expr | None = None, upper: Expr | None = None) -> None:
     """Write one row per grid sample: x, f, l, u, id, valid.
 
     f is left empty outside the domain (and everywhere when no body is

@@ -279,6 +279,8 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
       "--grid", "5", "--csv", "{enum}.csv"), 2, ""),
     (("graph", "{unary}", "--depth", "201"), 2, ""),
     (("graph", "{unary}", "--depth", "200"), 0, _unary_dot(200)),
+    (("real", "--upper", "x", "--csv", "{tmp}/missing/a.csv"), 2, ""),
+    (("real", "--upper", "x", "--csv", "{tmp}"), 2, ""),
 ], ids=["negative-depth", "duplicate-labels", "grid-1", "max-size-100",
         "nested-3000", "tol-1e-20", "parens-200", "sum-1000", "minus-3000",
         "depth-1e9", "grid-1000001", "check-not-utf8", "graph-not-utf8",
@@ -288,11 +290,12 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
         "empty-lower-name", "empty-strict-upper-name", "empty-lower-name-with-upper",
         "window-narrower-than-grid", "window-step-rounds-to-0",
         "window-repeats-samples", "self-referential-body",
-        "self-referential-body-csv", "depth-past-nesting", "depth-at-nesting"])
+        "self-referential-body-csv", "depth-past-nesting", "depth-at-nesting",
+        "csv-in-a-missing-directory", "csv-at-a-directory"])
 def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
                                                 tmp_path):
     files = _unreadable_files(tmp_path)
-    argv = [a.format(enum=enum_file, **files) for a in argv]
+    argv = [a.format(enum=enum_file, tmp=tmp_path, **files) for a in argv]
     result = run_cli_process(*argv)
     assert result.returncode == code, result.stderr
     assert result.stdout == out

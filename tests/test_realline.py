@@ -8,6 +8,10 @@ import os
 import pickle
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
+from itertools import compress, islice
+from operator import ne
 from unittest import mock
 
 import pytest
@@ -292,6 +296,21 @@ class TestCompiledMatchesTheWalk:
         assert outcomes == {"x/0": DivisionByZero, "inf-inf": "nan",
                             "(-10)^401": "-inf", "-0": "-0.0"}
 
+    @pytest.mark.parametrize("constant", [Decimal("1.5"), Fraction(1, 3),
+                                          complex(1, 2), "s", None])
+    def test_a_constant_that_is_not_a_float_keeps_the_walks_order(self, constant):
+        # Operations on such a constant may raise, so they run where the
+        # walk meets them: before a later division by zero, a power's
+        # overflow or an unresolved f(x).
+        later = [BinOp("/", X(), Num(0.0)), Pow(Num(10.0), 400), SelfRef()]
+        for tail in later:
+            for e in (BinOp("+", BinOp("-", Num(constant), X()), tail),
+                      BinOp("*", Neg(Num(constant)), tail),
+                      BinOp("/", tail, Pow(Num(constant), 2)),
+                      BinOp("-", BinOp("/", Num(constant), X()), tail)):
+                for x in (0.0, 2.0):
+                    assert _outcome(eval_expr, e, x) == _outcome(_walk, e, x)
+
     @settings(max_examples=100, deadline=None)
     @given(st.none() | _free_exprs, st.none() | _free_exprs,
            st.floats(-50, 50), st.floats(0.5, 50), st.integers(2, 60))
@@ -379,13 +398,38 @@ def _reference_domain(lower, upper, window, grid_n, tol=TOL):
                         tuple(skipped))
 
 
-def _balanced(leaves: int) -> str:
-    """A balanced bound over x and 1.5 with every operator, by levels."""
+def _balanced(leaves: int, ops: str = "+*-/") -> str:
+    """A balanced bound over x and 1.5, cycling through ops by levels."""
     level = ["x", "1.5"] * (leaves // 2)
     while len(level) > 1:
-        level = [f"({a}{'+*-/'[i % 4]}{b})"
+        level = [f"({a}{ops[i % len(ops)]}{b})"
                  for i, (a, b) in enumerate(zip(level[::2], level[1::2]))]
     return level[0]
+
+
+def _nested_differences(depth: int) -> BinOp:
+    """x-(x-(...-(x-x))), depth operators deep: past what parse_expr
+    accepts, so built by hand."""
+    e = X()
+    for _ in range(depth):
+        e = BinOp("-", X(), e)
+    return e
+
+
+def _paren_depth(source: str) -> int:
+    depth = deepest = 0
+    for char in source:
+        if char == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif char == ")":
+            depth -= 1
+    return deepest
+
+
+# Longest generated line allowed: one statement holds at most one inline
+# expression of 2 * _INLINE_NODES + 1 nodes.
+_MAX_LINE = 1000
 
 
 class TestCompilerExtremes:
@@ -439,6 +483,37 @@ class TestCompilerExtremes:
         # A chunk holds its two operands' pieces, the node and def/return;
         # the loop holds what is left of each bound at its top level.
         assert max(s.count("\n") for s in sources) <= 2 * realline._CHUNK_LINES + 4
+
+    # Parsed when the test runs, so collection stays cheap.
+    @pytest.mark.parametrize("make", [
+        lambda: parse_expr(_parens(MAX_NESTING)),
+        lambda: parse_expr(_minuses(MAX_NESTING)),
+        lambda: _nested_differences(MAX_NESTING),
+        lambda: parse_expr(_sum(MAX_NESTING + 1)),
+        lambda: parse_expr(_balanced(2 ** 14, "+")),
+        lambda: parse_expr(_balanced(2 ** 14, "*")),
+        lambda: parse_expr(_balanced(2 ** 14)),
+    ], ids=["parens", "minuses", "nested-differences", "flat-sum",
+            "balanced-sum-16384", "balanced-product-16384", "balanced-16384"])
+    def test_generated_code_stays_short_and_shallow(self, make):
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        e = make()
+        with mock.patch.object(realline, "compile", spy, create=True):
+            eval_expr(e, 1.0)
+            real_domain(e, e, window=(1.0, 2.0), grid_n=5)
+        assert len(sources) >= 2
+        for source in sources:
+            lines = source.splitlines()
+            assert len(lines) <= 2 * realline._CHUNK_LINES + 4
+            assert max(map(len, lines)) <= _MAX_LINE
+            # An inline expression inside a call or a test at most, and
+            # far below the parser's 200 levels.
+            assert _paren_depth(source) <= min(realline._INLINE_NODES + 3, 50)
 
     def test_an_int_past_the_float_range_is_an_infinity(self):
         # 3 ** 10**400 as a Python int never finishes; as a double it
@@ -647,6 +722,80 @@ class TestRealDomain:
     def test_unresolved_bounds_rejected(self):
         with pytest.raises(SelfReferenceInBody):
             real_domain(None, parse_expr("f(x)"))
+
+
+def _run_edges_reference(flags):
+    """The scan _run_edges replaced: one step per sample, by compress."""
+    n = len(flags)
+    edges = [*compress(range(1, n), map(ne, flags, islice(flags, 1, None))), n]
+    if flags[0]:
+        edges.insert(0, 0)
+    return edges
+
+
+def _from_runs(first: int, lengths: list[int]) -> bytearray:
+    """Runs of the given lengths, alternating from flag first."""
+    flags = bytearray()
+    for k, length in enumerate(lengths):
+        flags += bytes([(first + k) % 2]) * length
+    return flags
+
+
+class TestRunEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=2, max_size=5000).map(bytearray)
+           | st.builds(_from_runs, st.integers(0, 1),
+                       st.lists(st.integers(1, 250), min_size=1, max_size=20)
+                       ).filter(lambda flags: len(flags) >= 2))
+    def test_matches_the_scan(self, flags):
+        assert realline._run_edges(flags) == _run_edges_reference(flags)
+
+    @pytest.mark.parametrize("n", [2, 3, 4001, 5000])
+    @pytest.mark.parametrize("flags", [
+        lambda n: bytearray(n), lambda n: bytearray([1]) * n,
+        lambda n: bytearray(i % 2 for i in range(n)),
+        lambda n: bytearray((i + 1) % 2 for i in range(n)),
+    ], ids=["all-0", "all-1", "alternating-from-0", "alternating-from-1"])
+    def test_uniform_and_alternating_runs(self, flags, n):
+        flags = flags(n)
+        assert realline._run_edges(flags) == _run_edges_reference(flags)
+
+
+# Windows [lo, lo + k (n - 1) ulp(lo)]: a k near 64 puts the step near
+# the guard's margin; the rest lie on either side of it.
+_guard_windows = st.tuples(
+    st.floats(-1e308, 1e308) | st.floats(-1e-306, 1e-306),
+    st.integers(2, 64) | st.integers(2, realline.MAX_GRID_N),
+    st.floats(0.5, 300.0) | st.floats(0.5, 1e6))
+
+
+class TestMonotonicityGuard:
+    @settings(max_examples=100, deadline=None)
+    @given(_guard_windows)
+    @example((0.0, 1_000_000, 64.6))  # a subnormal step
+    @example((1.0, 4001, 64.5))
+    @example((-100.0, 4001, 2 ** 40))
+    def test_a_skipped_scan_would_have_accepted(self, draw):
+        lo, n, k = draw
+        hi = lo + k * (n - 1) * math.ulp(lo)
+        assume(lo < hi < math.inf and math.isfinite(hi - lo))
+        if realline._surely_increasing(lo, hi, n):
+            xs = realline._grid((lo, hi), n)
+            assert all(a < b for a, b in zip(xs, islice(xs, 1, None)))
+
+    def test_the_guard_skips_ordinary_grids_and_scans_narrow_ones(self):
+        assert realline._surely_increasing(-100.0, 100.0, 4001)
+        assert realline._surely_increasing(-100.0, 100.0, realline.MAX_GRID_N)
+        assert not realline._surely_increasing(0.0, 1e-322, 4001)
+        assert not realline._surely_increasing(1.0, 1.000000000000001, 4001)
+        # A subnormal step rounds by up to half its own ulp, which n - 1
+        # steps turn into more than a step: the last computed sample
+        # passes hi, though the step is over 64 ulps of hi.
+        window, n = (0.0, 64599935 * 5e-324), 1_000_000
+        assert (window[1] - window[0]) / (n - 1) > 64 * math.ulp(window[1])
+        assert not realline._surely_increasing(*window, n)
+        xs = realline._grid(window, n)
+        assert xs[-2] > xs[-1]
 
 
 class TestIntervalTypes:
