@@ -284,13 +284,12 @@ def random_poset(seed: int, max_size: int = 8) -> FinitePoset:
     Samples a DAG over a linearly ordered carrier with a per-draw edge
     density, then closes it; the same seed always yields the same poset.
     """
-    if max_size < 1:
-        raise InvalidValue(f"the maximum size must be at least 1, got {max_size}")
+    # Refused before any draw, so the answer cannot depend on the seed.
+    if not 1 <= max_size <= MAX_ELEMENTS:
+        raise InvalidValue(
+            f"the maximum size must be 1 to {MAX_ELEMENTS}, got {max_size}")
     rng = random.Random(seed)
     n = rng.randint(1, max_size)
-    if n > MAX_ELEMENTS:  # refuse before drawing about n * n / 2 covers
-        raise InvalidValue(
-            f"carrier too large: {n} elements, cap is {MAX_ELEMENTS}")
     # A list, not a generator: CPython builds a tuple from a generator by
     # resizing it, and each such tuple of under 20 items, once freed, grows
     # the tuple free list until the next full garbage collection.

@@ -18,13 +18,15 @@ regular-expression scan into tokens, then a recursive descent over
 token indices. It refuses operators and parentheses nested deeper than
 ``MAX_NESTING`` levels with a positioned ParseError, so neither parsing
 nor compiling nor evaluating a bound can reach Python's recursion limit.
-Bounds run as generated Python: nested expressions, with a statement
-only where something can raise. A decision compiles one function that
-loops over the grid with both bounds inline, tests l(x) <= x <= u(x) in
-place and appends 1 or 0 to a bytearray, so its thousands of samples
-cost one call in all and ``bytearray.find`` reads off the runs;
-bisection evaluates a bound through ``eval_expr``, which compiles it
-once, on first use, into a function of x.
+A literal holds a double from the moment its node is built, and a tree
+that still holds f(x) is refused when it compiles, so bounds run as
+generated Python that is only arithmetic: nested expressions, with a
+statement only where division by zero or overflow can occur. A decision
+compiles one function that loops over the grid with both bounds inline,
+tests l(x) <= x <= u(x) in place and appends 1 or 0 to a bytearray, so
+its thousands of samples cost one call in all and ``bytearray.find``
+reads off the runs; bisection evaluates a bound through ``eval_expr``,
+which compiles it once, on first use, into a function of x.
 """
 
 from __future__ import annotations
@@ -73,9 +75,18 @@ class _Node(Record):
 
 
 class Num(_Node):
+    """A literal, held as a double: an int or a float becomes its float,
+    an int past the float range its sign's infinity; else a TypeError."""
+
     __match_args__ = ("value",)
 
     def __init__(self, value: float):
+        if not isinstance(value, (int, float)):
+            raise TypeError(f"a literal must be an int or a float, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
         set_field(self, "value", value)
 
 
@@ -109,7 +120,7 @@ class Pow(_Node):
     def __init__(self, base: Expr, exponent: int):
         set_field(self, "base", base)
         set_field(self, "exponent", exponent)
-        if exponent < 0:
+        if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponents must be nonnegative integers")
 
 
@@ -282,47 +293,26 @@ def _overflowed(b, exponent):
     return math.copysign(magnitude, b) if exponent % 2 else magnitude
 
 
-def _as_double(value) -> float | None:
-    # A literal's float; an int's double, or past the float range its
-    # infinity (hand-built: the parser reads floats); else None.
-    if isinstance(value, int):
-        try:
-            return float(value)
-        except OverflowError:
-            return math.inf if value > 0 else -math.inf
-    return value if type(value) is float else None
-
-
-def _unresolved():
-    raise SelfReferenceInBody(
-        "unresolved f(x): substitute the body before evaluating")
-
-
-def _not_a_node(e):
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 class _Source:
-    """Generated Python for bounds, as nested expressions: +, -, * and
-    unary minus sit inline in their parent's expression, as on floats
-    they never raise, and a negated literal folds into the literal. Only
-    what can raise is a statement, in a recursive walk's order: / raises
-    DivisionByZero on a 0.0 denominator before its numerator runs, **
-    turns OverflowError into the signed limit, f(x) and non-nodes raise
-    where reached; so is every operation above a constant that is not a
-    float. No input text enters the source: a finite float enters as its
-    repr (an int as the double it rounds to), every other value as a name
-    bound in the functions' namespace."""
+    """Generated Python for bounds, as nested expressions. Compiling
+    refuses a tree unfit to run, before any evaluation: f(x) is a
+    SelfReferenceInBody, a non-node or unknown operator a TypeError.
+    +, -, * and unary minus sit inline in their parent's expression, as
+    on doubles they never raise, and a negated literal folds into the
+    literal. Only the two faults are statements, in a recursive walk's
+    order: / raises DivisionByZero on a 0.0 denominator before its
+    numerator runs, and ** turns OverflowError into the signed limit.
+    No input text enters the source: a finite literal enters as its
+    repr, any other value as a name bound in the functions' namespace."""
 
     def __init__(self):
-        self.names = {"DivisionByZero": DivisionByZero, "_overflowed": _overflowed,
-                      "_unresolved": _unresolved, "_not_a_node": _not_a_node}
+        self.names = {"DivisionByZero": DivisionByZero, "_overflowed": _overflowed}
         self.lines: list[str] = []
         self.ids = count()
 
     def build(self, e: Expr) -> Callable[[float], float]:
         """The function of x that evaluates e."""
-        result, _, _ = self.emit(e)
+        result, _ = self.emit(e)
         # Popped, the function and its namespace form no reference cycle.
         return self.names.pop(self.define("x", [*self.lines, f"return {result}"]))
 
@@ -336,7 +326,7 @@ class _Source:
                                   (upper, "x <= {}", "upper")):
             if bound is not None:
                 self.lines = []
-                text, nodes, _ = self.emit(bound)
+                text, nodes = self.emit(bound)
                 v = text if nodes == 1 else self.assign(text)
                 loop += [*self.lines, f"if not {test.format(v)}:",
                          f" if {v} != {v}: skip(x, '{side} bound is NaN')",
@@ -363,66 +353,64 @@ class _Source:
         exec(compile(source, "<bound>", "exec"), self.names)
         return name
 
-    def emit(self, e) -> tuple[str, int, bool]:
+    def emit(self, e) -> tuple[str, int]:
         """Append the statements e needs to lines, operands before the
-        node; answer the expression that then gives its value, the nodes
-        it holds, and whether only floats flow through it."""
+        node; answer the expression that then gives its value and the
+        nodes it holds."""
         match e:
             case X():
-                return "x", 1, True
-            case Num(value) | Neg(Num(value)) if (double := _as_double(value)) is not None:
-                value = -double if isinstance(e, Neg) else double
+                return "x", 1
+            case Num(value) | Neg(Num(value)):
+                value = -value if isinstance(e, Neg) else value
                 if not math.isfinite(value):
-                    return self.bind(value), 1, True
+                    return self.bind(value), 1
                 text = repr(value)
-                return (f"({text})" if text[0] == "-" else text), 1, True
-            case Num(value):
-                return self.bind(value), 1, False
+                return (f"({text})" if text[0] == "-" else text), 1
+            case SelfRef():
+                raise SelfReferenceInBody(
+                    "unresolved f(x): substitute the body before evaluating")
         emit, lines, start = self.emit, self.lines, len(self.lines)
         match e:
             case Neg(operand):
-                a, n, floats = emit(operand)
+                a, n = emit(operand)
                 text, nodes = f"(-{a})", n + 1
             case BinOp("+" | "-" | "*" as op, left, right):
-                a, m, left_floats = emit(left)
-                b, n, floats = emit(right)
-                text, nodes, floats = f"({a} {op} {b})", m + n + 1, left_floats and floats
+                a, m = emit(left)
+                b, n = emit(right)
+                text, nodes = f"({a} {op} {b})", m + n + 1
             case BinOp("/", left, right):
-                d, n, right_floats = emit(right)
+                d, n = emit(right)
                 test = d
                 if n > 1:  # named as it is tested, for the division to read
                     d = f"v{next(self.ids)}"
                     test = f"({d} := {test})"
                 lines.append(f"if {test} == 0.0: raise DivisionByZero(x)")
-                a, m, floats = emit(left)
-                text, nodes, floats = f"({a} / {d})", m + 2, floats and right_floats
+                a, m = emit(left)
+                text, nodes = f"({a} / {d})", m + 2
             case Pow(base, exponent):
-                b, _, floats = emit(base)
+                b, _ = emit(base)
                 v, n = f"v{next(self.ids)}", self.bind(exponent)
                 lines.append(f"try: {v} = {b} ** {n}")
                 lines.append(f"except OverflowError: {v} = _overflowed({b}, {n})")
-                # A float to an int power is a float; to any other, maybe not.
-                text, nodes, floats = v, 1, floats and type(exponent) is int
-            case SelfRef():
-                text, nodes, floats = self.assign("_unresolved()"), 1, True
+                text, nodes = v, 1
             case _:
-                text, nodes, floats = self.assign(f"_not_a_node({self.bind(e)})"), 1, True
-        if nodes > 1 and (nodes > _INLINE_NODES or not floats):
+                raise TypeError(f"not an expression node: {e!r}")
+        if nodes > _INLINE_NODES:
             text, nodes = self.assign(text), 1
         if len(lines) - start > _CHUNK_LINES:
             chunk = self.define("x", [*lines[start:], f"return {text}"])
             del lines[start:]
             text, nodes = self.assign(f"{chunk}(x)"), 1
-        return text, nodes, floats
+        return text, nodes
 
 
 def eval_expr(e: Expr, x: float) -> float:
     """IEEE double evaluation; infinities flow through, 0 denominators raise.
 
-    Runs the function e compiled to on its first evaluation: nested
-    expressions, with a statement only where something can raise.
-    Bisection and the CSV writer evaluate bounds here; the grid pass has
-    its own loop, generated from the same code.
+    Runs the function e compiled to on its first evaluation. A tree that
+    still holds f(x) never compiles, so it is refused at every x with
+    SelfReferenceInBody. Bisection and the CSV writer evaluate bounds
+    here; the grid pass has its own loop, generated from the same code.
     """
     try:
         function = e._closure
@@ -542,18 +530,17 @@ def real_domain(lower: Expr | None, upper: Expr | None,
                 ) -> DomainReport:
     """Decide {x : l(x) <= x <= u(x)} inside the window.
 
-    Bounds must already be free of f(x). A sample where a bound divides
-    by zero is excluded and recorded; one that evaluates to NaN is
-    skipped and recorded likewise. Infinite bound values just compare.
-    The grid is decided in one generated pass; each change of answer
-    between neighbouring samples is then bisected.
+    The decision compiles first, so a bound that still holds f(x) raises
+    SelfReferenceInBody before any window, grid or tolerance error, and
+    before the grid takes memory. A sample where a bound divides by zero
+    is excluded and recorded; one that evaluates to NaN is skipped and
+    recorded likewise. Infinite bound values just compare. The grid is
+    decided in one generated pass; each change of answer between
+    neighbouring samples is then bisected.
     """
     if lower is None and upper is None:
         raise ValueError("at least one bound is required")
-    for bound in (lower, upper):
-        if bound is not None and contains_self(bound):
-            raise SelfReferenceInBody(
-                "bounds still mention f(x): resolve against a body first")
+    decide = _Source().decide(lower, upper)
     lo, hi = window
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise EmptyWindow(f"window [{lo}, {hi}] contains no interval")
@@ -595,8 +582,6 @@ def real_domain(lower: Expr | None, upper: Expr | None,
                 b = mid
         return a / 2 + b / 2
 
-    # Compiled before the grid exists, so the two never take memory at once.
-    decide = _Source().decide(lower, upper)
     xs = _grid(window, grid_n)
     if not (_surely_increasing(lo, hi, grid_n)
             or all(map(lt, xs, islice(xs, 1, None)))):

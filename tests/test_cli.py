@@ -281,6 +281,8 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
     (("graph", "{unary}", "--depth", "200"), 0, _unary_dot(200)),
     (("real", "--upper", "x", "--csv", "{tmp}/missing/a.csv"), 2, ""),
     (("real", "--upper", "x", "--csv", "{tmp}"), 2, ""),
+    (("poset", "theorem", "--random", "1", "--max-size", "100", "--seed", "0"),
+     2, ""),
 ], ids=["negative-depth", "duplicate-labels", "grid-1", "max-size-100",
         "nested-3000", "tol-1e-20", "parens-200", "sum-1000", "minus-3000",
         "depth-1e9", "grid-1000001", "check-not-utf8", "graph-not-utf8",
@@ -291,7 +293,8 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
         "window-narrower-than-grid", "window-step-rounds-to-0",
         "window-repeats-samples", "self-referential-body",
         "self-referential-body-csv", "depth-past-nesting", "depth-at-nesting",
-        "csv-in-a-missing-directory", "csv-at-a-directory"])
+        "csv-in-a-missing-directory", "csv-at-a-directory",
+        "max-size-100-seed-0"])
 def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
                                                 tmp_path):
     files = _unreadable_files(tmp_path)

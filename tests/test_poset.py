@@ -379,11 +379,14 @@ class TestRandomGeneration:
             random_poset(0, 0)
 
     def test_an_oversized_draw_is_refused_before_its_covers(self):
-        # Drawing the covers of a million elements would take hours.
-        n = random.Random(3).randint(1, 10 ** 6)
-        with pytest.raises(InvalidValue, match=(
-                f"^carrier too large: {n} elements, cap is {MAX_ELEMENTS}$")):
-            random_poset(3, 10 ** 6)
+        # Drawing the covers of a million elements would take hours; a
+        # size past the cap is refused whatever the seed would draw.
+        for seed in range(8):
+            for max_size in (MAX_ELEMENTS + 1, 100, 10 ** 6):
+                with pytest.raises(InvalidValue, match=(
+                        f"^the maximum size must be 1 to {MAX_ELEMENTS}, "
+                        f"got {max_size}$")):
+                    random_poset(seed, max_size)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_posets_satisfy_the_axioms(self, seed):

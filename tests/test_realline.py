@@ -186,9 +186,18 @@ class TestEval:
         with pytest.raises(SelfReferenceInBody):
             eval_expr(SelfRef(), 1.0)
 
-    def test_denominator_is_evaluated_first(self):
-        with pytest.raises(DivisionByZero):
+    def test_an_unresolved_numerator_is_refused_before_a_zero_denominator(self):
+        with pytest.raises(SelfReferenceInBody):
             eval_expr(BinOp("/", SelfRef(), Num(-0.0)), 1.0)
+
+    @pytest.mark.parametrize("e", [BinOp("/", SelfRef(), X()),
+                                   BinOp("/", X(), SelfRef()),
+                                   BinOp("/", SelfRef(), Num(0.0))],
+                             ids=["f(x)/x", "x/f(x)", "f(x)/0"])
+    def test_an_unresolved_self_reference_is_refused_at_every_x(self, e):
+        for x in _SPECIAL:
+            with pytest.raises(SelfReferenceInBody):
+                eval_expr(e, x)
 
     def test_non_nodes_are_type_errors(self):
         with pytest.raises(TypeError):
@@ -211,20 +220,50 @@ class TestEval:
         assert copy == e and eval_expr(copy, 1.0) == -1.0
 
 
+# The least int that rounds past the largest double: halfway from it to
+# 2 ** 1024, where round-half-even goes up.
+_PAST_FLOATS = 2 ** 1024 - 2 ** 970
+
+
+class TestLiterals:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers()
+           | st.tuples(st.integers(-2 ** 971, 2 ** 971), st.sampled_from([1, -1]))
+             .map(lambda t: t[1] * (_PAST_FLOATS + t[0]))
+           | st.sampled_from([10 ** 400, -10 ** 400, _PAST_FLOATS, _PAST_FLOATS - 1])
+           | st.floats()
+           | st.sampled_from([math.nan, -0.0, math.inf, -math.inf]))
+    def test_a_literal_holds_its_double(self, v):
+        if isinstance(v, int) and abs(v) >= _PAST_FLOATS:
+            want = math.inf if v > 0 else -math.inf
+        else:
+            want = float(v)
+        value = Num(v).value
+        assert type(value) is float and repr(value) == repr(want)
+
+    @pytest.mark.parametrize("constant", [Decimal("1.5"), Fraction(1, 3),
+                                          complex(1, 2), "s", None],
+                             ids=["Decimal", "Fraction", "complex", "str", "None"])
+    def test_a_literal_not_an_int_or_float_is_a_type_error(self, constant):
+        with pytest.raises(TypeError):
+            Num(constant)
+
+
+def _reference(e, x):
+    """Reference: a tree that still holds f(x) is refused before any
+    evaluation; any other is walked."""
+    if contains_self(e):
+        raise SelfReferenceInBody("unresolved f(x)")
+    return _walk(e, x)
+
+
 def _walk(e, x):
-    """Reference: a recursive walk over the tree, one node per call."""
+    """A recursive walk over an f(x)-free tree, one node per call."""
     match e:
-        case Num(int(value)):  # hand-built; its IEEE double, or an infinity
-            try:
-                return float(value)
-            except OverflowError:
-                return math.inf if value > 0 else -math.inf
         case Num(value):
             return value
         case X():
             return x
-        case SelfRef():
-            raise SelfReferenceInBody("unresolved f(x)")
         case Neg(operand):
             return -_walk(operand, x)
         case BinOp("+", left, right):
@@ -281,7 +320,7 @@ class TestCompiledMatchesTheWalk:
     @example(BinOp("+", _ZERO_OVER_ZERO, SelfRef()), 1.0)
     @example(Pow(BinOp("*", X(), Num(-1e300)), 3), 1e10)
     def test_same_value_or_same_exception(self, e, x):
-        assert _outcome(eval_expr, e, x) == _outcome(_walk, e, x)
+        assert _outcome(eval_expr, e, x) == _outcome(_reference, e, x)
 
     def test_the_awkward_cases_occur(self):
         x = 0.0
@@ -292,24 +331,9 @@ class TestCompiledMatchesTheWalk:
             "-0": Neg(X()),
         }
         outcomes = {k: _outcome(eval_expr, e, x) for k, e in cases.items()}
-        assert outcomes == {k: _outcome(_walk, e, x) for k, e in cases.items()}
+        assert outcomes == {k: _outcome(_reference, e, x) for k, e in cases.items()}
         assert outcomes == {"x/0": DivisionByZero, "inf-inf": "nan",
                             "(-10)^401": "-inf", "-0": "-0.0"}
-
-    @pytest.mark.parametrize("constant", [Decimal("1.5"), Fraction(1, 3),
-                                          complex(1, 2), "s", None])
-    def test_a_constant_that_is_not_a_float_keeps_the_walks_order(self, constant):
-        # Operations on such a constant may raise, so they run where the
-        # walk meets them: before a later division by zero, a power's
-        # overflow or an unresolved f(x).
-        later = [BinOp("/", X(), Num(0.0)), Pow(Num(10.0), 400), SelfRef()]
-        for tail in later:
-            for e in (BinOp("+", BinOp("-", Num(constant), X()), tail),
-                      BinOp("*", Neg(Num(constant)), tail),
-                      BinOp("/", tail, Pow(Num(constant), 2)),
-                      BinOp("-", BinOp("/", Num(constant), X()), tail)):
-                for x in (0.0, 2.0):
-                    assert _outcome(eval_expr, e, x) == _outcome(_walk, e, x)
 
     @settings(max_examples=100, deadline=None)
     @given(st.none() | _free_exprs, st.none() | _free_exprs,
@@ -464,7 +488,7 @@ class TestCompilerExtremes:
         for x in _SPECIAL:
             outcome = _outcome(eval_expr, e, x)
             assert outcome not in (RecursionError, SyntaxError, MemoryError)
-            assert outcome == _outcome(_walk, e, x)
+            assert outcome == _outcome(_reference, e, x)
 
     def test_large_bounds_compile_in_bounded_pieces(self):
         sources = []
@@ -722,6 +746,19 @@ class TestRealDomain:
     def test_unresolved_bounds_rejected(self):
         with pytest.raises(SelfReferenceInBody):
             real_domain(None, parse_expr("f(x)"))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"window": (1.0, 1.0)}, {"window": (-1e308, 1e308)}, {"grid_n": 1},
+        {"tol": 0.0},
+    ], ids=["empty-window", "window-wider-than-floats", "grid-1", "tol-0"])
+    def test_an_unresolved_bound_is_refused_before_the_other_errors(self, kwargs):
+        with pytest.raises((EmptyWindow, InvalidValue)):
+            real_domain(None, X(), **kwargs)
+        for lower, upper in ((parse_expr("f(x)"), None),
+                             (None, parse_expr("x/f(x)")),
+                             (X(), parse_expr("f(x)+1"))):
+            with pytest.raises(SelfReferenceInBody):
+                real_domain(lower, upper, **kwargs)
 
 
 def _run_edges_reference(flags):

@@ -78,8 +78,18 @@ def _spec_post(self):
         raise ValueError("at least one bound is required")
 
 
+def _num_post(self):
+    if not isinstance(self.value, (int, float)):
+        raise TypeError(f"a literal must be an int or a float, got {self.value!r}")
+    try:
+        value = float(self.value)
+    except OverflowError:
+        value = math.inf if self.value > 0 else -math.inf
+    object.__setattr__(self, "value", value)
+
+
 def _pow_post(self):
-    if self.exponent < 0:
+    if not isinstance(self.exponent, int) or self.exponent < 0:
         raise ValueError("exponents must be nonnegative integers")
 
 
@@ -130,7 +140,7 @@ REF = {
                        ("strict", bool, field(default=False))],
         _post(_spec_post)),
     "DomainResult": _frozen("DomainResult", ["members"]),
-    "Num": _frozen("Num", ["value"]),
+    "Num": _frozen("Num", ["value"], _post(_num_post)),
     "X": _frozen("X", []),
     "SelfRef": _frozen("SelfRef", []),
     "Neg": _frozen("Neg", ["operand"]),
@@ -213,7 +223,8 @@ SAMPLES = {
     "DomainSpec": [S("DomainSpec", SUCC), S("DomainSpec", upper=SUCC, strict=True),
                    S("DomainSpec", SUCC, SUCC, True)],
     "DomainResult": [S("DomainResult", frozenset({"a"})), S("DomainResult", frozenset())],
-    "Num": [S("Num", 1.0), S("Num", 1), S("Num", -0.0), S("Num", NAN), S("Num", 2.5)],
+    "Num": [S("Num", 1.0), S("Num", 1), S("Num", -0.0), S("Num", NAN), S("Num", 2.5),
+            S("Num", -10 ** 400)],
     "X": [S("X"), S("X")],
     "SelfRef": [S("SelfRef")],
     "Neg": [S("Neg", S("X")), S("Neg", S("Num", 1.0))],
@@ -237,7 +248,9 @@ REFUSED = [
     S("ClassDecl", "é"),
     S("Verdict", validity.Status.INVALID), S("Verdict", validity.Status.VALID, ("r",)),
     S("DomainSpec"), S("DomainSpec", strict=True), S("DomainSpec", None, None, True),
-    S("Pow", S("X"), -1),
+    S("Num", "s"), S("Pow", S("X"), -1),
+    # Named apart, so the row above keeps the id "Pow".
+    pytest.param(S("Pow", S("X"), 0.5), id="Pow-float-exponent"),
     S("Interval", 1.0, 0.0), S("IntervalSet", (IV, IV)),
 ]
 
