@@ -169,19 +169,31 @@ def require_well_formed(table: ClassTable, expr: TypeExpr,
     and every variable is in ``scope``.
 
     The default empty scope demands a ground type, as queries do; a
-    declaration passes its own parameters.
+    declaration passes its own parameters. A ground check that succeeds
+    marks each ``App`` it passed with ``table.infos`` (``App._checked``),
+    and a later check of a marked ``App`` against the same table returns
+    at once, so re-checking a type, or a new type built around checked
+    ones, costs only its unmarked nodes. A check under a scope, or one
+    that fails, marks nothing. The mark holds the dict itself, not its
+    ``id()``, so it can never match a later table; a table's ``infos``
+    must not change once built.
     """
     if isinstance(expr, Var):
         if expr.name not in scope:
             raise UnboundVariable(expr.name)
         return
-    info = table.infos.get(expr.name)
+    infos = table.infos
+    if expr._checked is infos:
+        return
+    info = infos.get(expr.name)
     if info is None:
         raise UnknownClass(expr.name)
     if len(expr.args) != info.arity:
         raise ArityMismatch(expr.name, info.arity, len(expr.args))
     for arg in expr.args:
         require_well_formed(table, arg, scope)
+    if not scope:
+        set_field(expr, "_checked", infos)
 
 
 def _require_well_formed_at(table: ClassTable, expr: TypeExpr,

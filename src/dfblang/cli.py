@@ -120,11 +120,22 @@ def _cmd_poset_domain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Work one ``theorem --random`` sweep may do: instances times the
+# largest carrier, counting a carrier below 8 as 8, since an instance
+# costs about as much at 1 element as at 8.
+MAX_THEOREM_WORK = 256_000
+
+
 def _cmd_poset_theorem(args: argparse.Namespace) -> int:
     if args.random is not None:
         if args.random < 1:
             raise InvalidValue(
                 f"--random needs at least 1 instance, got {args.random}")
+        if args.random * max(args.max_size, 8) > MAX_THEOREM_WORK:
+            raise InvalidValue(
+                f"--random {args.random} with --max-size {args.max_size} is "
+                f"more than {MAX_THEOREM_WORK} units of work (instances "
+                f"times max-size, counted as at least 8)")
         failures = 0
         for i in range(args.random):
             poset = posets.random_poset(args.seed + i, args.max_size)

@@ -12,7 +12,11 @@ an exception and so unable to derive from it, is the one class that
 borrows its methods. Only ``App`` (hash stored at construction, identity
 compared first) and ``ClassDecl`` (``pos`` left out of equality) write
 their own ``__eq__`` and ``__hash__``; every record writes its own
-``__init__``.
+``__init__``. A slot not named in ``__match_args__`` is not a field, so
+none of the above sees it: ``App`` keeps two, ``_hash`` and
+``_checked`` (the table it was last found well-formed against, set only
+by ``classtable.require_well_formed``), and a pickled ``App`` comes back
+with its hash recomputed and no mark.
 """
 
 from __future__ import annotations

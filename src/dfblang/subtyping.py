@@ -7,6 +7,12 @@ head class by its substituted superclass starting from ``s`` reaches
 The walk terminates because the extends relation is acyclic and each
 step is determined by the head class alone.
 
+Both operands must be ground and well-formed over the table, or
+:func:`is_subtype` raises. The check is ``require_well_formed``, which
+marks each type it passes and returns at once on a marked one, so asking
+again about types already checked against the same table (as validity
+does for every argument and bound) costs only their new nodes.
+
 The module also enumerates ground types up to a nesting depth and can
 export the induced subtype graph as DOT text; the graph is an artifact
 for inspection, the decision procedure itself never consults it.

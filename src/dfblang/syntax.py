@@ -68,9 +68,16 @@ class App(Record):
 
     The hash is taken once, at construction, from the arguments' stored
     hashes, so hashing a deeply nested type never recurses.
+
+    ``_checked`` is ``None`` when built. ``classtable.require_well_formed``
+    sets it to the ``infos`` dict of the table against which the type was
+    found ground and well-formed, and skips the walk when it meets that
+    same dict again. It is never set by a check under a scope or by one
+    that failed. Like ``_hash`` it is not a field: equality, hash, repr,
+    pickling and ``match`` ignore it.
     """
 
-    __slots__ = ("name", "args", "_hash")
+    __slots__ = ("name", "args", "_hash", "_checked")
     __match_args__ = ("name", "args")
 
     def __init__(self, name: str, args: Iterable[TypeExpr] = ()):
@@ -79,6 +86,7 @@ class App(Record):
         set_field(self, "name", name)
         set_field(self, "args", args)
         set_field(self, "_hash", hash((name, args)))
+        set_field(self, "_checked", None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -17,6 +17,13 @@ subtype query performed is recorded in the verdict's log with the
 instantiation that triggered it, which is how tests observe that no
 bound-side re-check ever happens and that the query count stays at most
 2 * (number of applications) * (maximum arity) for a full deep check.
+
+Well-formedness is checked once per type: :func:`is_admittable` checks
+each argument, and the subtype queries that follow find the arguments
+already marked by ``require_well_formed``, so they check only the nodes
+that substitution built into the bounds. The well-formedness work of a
+full deep check is therefore linear in the size of the query and its
+bounds, not quadratic in its depth.
 """
 
 from __future__ import annotations
@@ -150,17 +157,16 @@ def check_type(table: ClassTable, t: TypeExpr) -> Verdict:
     reasons: list[str] = []
     log: list[QueryRecord] = []
     valid = True
-
-    def walk(node: App) -> None:
-        nonlocal valid
+    # A loop, not a nested recursive function: such a function refers to
+    # itself, and the cycle would keep every call's log alive until a
+    # full garbage collection.
+    stack = [t]
+    while stack:
+        node = stack.pop()
         verdict = is_valid_argument(table, node.name, node.args)
         valid = valid and verdict.is_valid
         reasons.extend(verdict.reasons)
         log.extend(verdict.query_log)
-        for arg in node.args:
-            assert isinstance(arg, App)  # ground, checked above
-            walk(arg)
-
-    walk(t)
+        stack.extend(reversed(node.args))  # ground, checked above
     status = Status.VALID if valid else Status.INVALID
     return Verdict(status, tuple(reasons), tuple(log))

@@ -283,6 +283,10 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
     (("real", "--upper", "x", "--csv", "{tmp}"), 2, ""),
     (("poset", "theorem", "--random", "1", "--max-size", "100", "--seed", "0"),
      2, ""),
+    (("poset", "theorem", "--random", "4000", "--max-size", "64"), 0,
+     "4000/4000 pass\n"),
+    (("poset", "theorem", "--random", "4001", "--max-size", "64"), 2, ""),
+    (("poset", "theorem", "--random", "32001", "--max-size", "1"), 2, ""),
 ], ids=["negative-depth", "duplicate-labels", "grid-1", "max-size-100",
         "nested-3000", "tol-1e-20", "parens-200", "sum-1000", "minus-3000",
         "depth-1e9", "grid-1000001", "check-not-utf8", "graph-not-utf8",
@@ -294,7 +298,8 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
         "window-repeats-samples", "self-referential-body",
         "self-referential-body-csv", "depth-past-nesting", "depth-at-nesting",
         "csv-in-a-missing-directory", "csv-at-a-directory",
-        "max-size-100-seed-0"])
+        "max-size-100-seed-0", "sweep-at-budget", "sweep-past-budget",
+        "sweep-past-budget-small-carriers"])
 def test_bad_values_meet_the_exit_code_contract(argv, code, out, enum_file,
                                                 tmp_path):
     files = _unreadable_files(tmp_path)

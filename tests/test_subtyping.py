@@ -11,7 +11,7 @@ from dfblang.classtable import (
     UnknownClass,
     build_table,
 )
-from dfblang import subtyping
+from dfblang import classtable, subtyping, validity
 from dfblang.errors import InvalidValue
 from dfblang.subtyping import (
     enumerate_ground,
@@ -123,6 +123,60 @@ class TestWellFormed:
         with pytest.raises(error) as exc:
             build_table(program)
         assert str(exc.value) == f"{message} in class K, upper bound of U (line 2)"
+
+
+class TestCheckedMark:
+    """``require_well_formed`` skips an ``App`` it already found ground and
+    well-formed against the same table, and only then."""
+
+    def test_a_type_checked_against_one_table_is_rechecked_against_another(self):
+        t = parse_type("B<B<Object>>")
+        require_well_formed(build_table(parse_program("class B<T> {}")), t)
+        with pytest.raises(UnknownClass):
+            require_well_formed(build_table(parse_program("class C {}")), t)
+        with pytest.raises(ArityMismatch):
+            require_well_formed(build_table(parse_program("class B<S, T> {}")), t)
+
+    def test_a_check_under_a_scope_leaves_no_mark(self, showcase_table):
+        t = App("C", (Var("T"),))
+        require_well_formed(showcase_table, t, frozenset({"T"}))
+        with pytest.raises(UnboundVariable):
+            require_well_formed(showcase_table, t)
+        ground = parse_type("C<Null>")
+        require_well_formed(showcase_table, ground, frozenset({"T"}))
+        assert ground._checked is None
+
+    def test_a_failed_check_fails_again(self, showcase_table):
+        for text, error in (("C<C<Zorp>>", UnknownClass),
+                            ("C<D<Null>, C<C>>", ArityMismatch),
+                            ("C<C<C>>", ArityMismatch)):
+            t = parse_type(text)
+            for _ in range(2):
+                with pytest.raises(error):
+                    require_well_formed(showcase_table, t)
+
+    def test_check_type_validates_in_linear_time(self, monkeypatch):
+        calls = 0
+        original = classtable.require_well_formed
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        for module in (classtable, subtyping, validity):
+            monkeypatch.setattr(module, "require_well_formed", counting)
+        table = build_table(parse_program("class B<T> {}"))
+        counts = {}
+        for depth in (100, 199):
+            calls = 0
+            verdict = validity.check_type(
+                table, parse_type("B<" * depth + "Object" + ">" * depth))
+            assert verdict.is_valid
+            counts[depth] = calls
+        # Linear in depth; re-validating each query's operands in full
+        # would be quadratic (about 3.9 times the calls here).
+        assert counts[199] <= 2.1 * counts[100], counts
 
 
 class TestEnumerateGround:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from dfblang.classtable import UnknownClass, build_table
@@ -143,6 +145,24 @@ class TestCheckType:
         subjects = [render(q.subject) for q in verdict.query_log]
         assert subjects == ["Enum<Enum<Color>>", "Enum<Enum<Color>>",
                             "Enum<Color>", "Enum<Color>"]
+        # Left to right below each node, and each subtree before the next.
+        table = build_table(parse_program("class P<A, B> {}\nclass N {}"))
+        verdict = check_type(table, parse_type("P<P<N, P<N, N>>, P<N, N>>"))
+        subjects = [render(q.subject) for q in verdict.query_log[::4]]
+        assert subjects == ["P<P<N, P<N, N>>, P<N, N>>", "P<N, P<N, N>>",
+                            "P<N, N>", "P<N, N>"]
+
+    def test_leaves_no_cyclic_garbage(self, showcase_table):
+        # A reference cycle per call would keep each call's log and query
+        # trees alive until a full garbage collection.
+        t = parse_type("G<G<C<Null>>>")
+        gc.collect()
+        gc.disable()
+        try:
+            check_type(showcase_table, t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_variables_are_not_checkable(self, enum_table):
         with pytest.raises(NotAdmittable):
