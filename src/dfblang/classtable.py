@@ -131,14 +131,22 @@ _NULL_INFO = ClassInfo("Null", (), (), (), None)
 
 
 class ClassTable(Record):
-    """All classes of a program, keyed by name, plus build-time warnings."""
+    """All classes of a program, keyed by name, plus build-time warnings.
 
+    ``_meets`` is :func:`chain_meet`'s memo, empty when the table is
+    built. Like ``App._checked`` it is not a field: equality, hash, repr,
+    pickling and ``match`` ignore it, so a rebuilt or unpickled table
+    starts with an empty one and no two tables ever share one.
+    """
+
+    __slots__ = ("infos", "warnings", "_meets")
     __match_args__ = ("infos", "warnings")
 
     def __init__(self, infos: dict[str, ClassInfo],
                  warnings: tuple[Diagnostic, ...] = ()):
         set_field(self, "infos", infos)
         set_field(self, "warnings", warnings)
+        set_field(self, "_meets", {})
 
     def __contains__(self, name: str) -> bool:
         return name in self.infos
@@ -333,3 +341,33 @@ def bounds_of(table: ClassTable, name: str,
         (substitute(lo, mapping), substitute(hi, mapping))
         for lo, hi in zip(info.lowers, info.uppers)
     ]
+
+
+def chain_meet(table: ClassTable, name: str, head: str) -> TypeExpr | None:
+    """The type at which the superclass chain of ``name<P1..Pk>`` meets
+    class ``head``, open over ``name``'s own parameters ``P1..Pk``;
+    ``None`` when the chain reaches Object without meeting it.
+
+    The chain starts at the direct superclass, so a class never meets
+    itself. Substituting arguments for ``P1..Pk`` in the answer gives the
+    type the chain of ``name<args>`` reaches, because substitution
+    composes and acyclic ``extends`` puts ``head`` on a chain at most
+    once. The first call for a pair walks the chain in one loop; the
+    answer is kept in ``table._meets``, one entry per pair of names.
+    """
+    key = (name, head)
+    meets = table._meets
+    try:
+        return meets[key]
+    except KeyError:
+        pass
+    info = table.info(name)
+    cur: TypeExpr = App(name, tuple(Var(p) for p in info.param_names))
+    found = None
+    while cur.name not in ("Object", "Null"):
+        cur = superclass_of(table, cur.name, cur.args)
+        if cur.name == head:
+            found = cur
+            break
+    meets[key] = found
+    return found

@@ -16,7 +16,9 @@ their own ``__eq__`` and ``__hash__``; every record writes its own
 none of the above sees it: ``App`` keeps two, ``_hash`` and
 ``_checked`` (the table it was last found well-formed against, set only
 by ``classtable.require_well_formed``), and a pickled ``App`` comes back
-with its hash recomputed and no mark.
+with its hash recomputed and no mark. ``ClassTable`` keeps one,
+``_meets`` (``classtable.chain_meet``'s memo), and a pickled or rebuilt
+table comes back with an empty one.
 """
 
 from __future__ import annotations

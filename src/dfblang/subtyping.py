@@ -7,6 +7,17 @@ head class by its substituted superclass starting from ``s`` reaches
 The walk terminates because the extends relation is acyclic and each
 step is determined by the head class alone.
 
+That walk is not repeated per query. The walk from ``C<P1..Pk>``, over
+``C``'s own parameters, meets ``t``'s head class ``K`` at most once
+(acyclic ``extends``), and substituting ``s``'s arguments for
+``P1..Pk`` in that meeting point gives what the walk from ``s`` would
+meet, since substitution composes. ``classtable.chain_meet`` walks the open chain
+once per pair ``(C, K)`` and keeps the meeting point, or ``None``, in
+the table; each query is then one lookup, plus one substitution when
+``s`` has arguments, and one comparison with ``t``. The memo holds one
+entry per pair of class names asked about, so it is bounded by the
+square of the table's size however many queries are asked.
+
 Both operands must be ground and well-formed over the table, or
 :func:`is_subtype` raises. The check is ``require_well_formed``, which
 marks each type it passes and returns at once on a marked one, so asking
@@ -23,7 +34,13 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import product
 
-from .classtable import ClassTable, require_well_formed, superclass_of
+from .classtable import (
+    ClassTable,
+    chain_meet,
+    require_well_formed,
+    substitute,
+    superclass_of,
+)
 from .errors import InvalidValue
 from .record import Record, set_field
 from .syntax import App, MAX_NESTING, NULL, OBJECT, TypeExpr, render
@@ -32,6 +49,10 @@ from .syntax import App, MAX_NESTING, NULL, OBJECT, TypeExpr, render
 # the count (by k for k unary classes), so the budget is checked on the
 # predicted count before anything is built.
 MAX_GRAPH_NODES = 100_000
+# Characters in the renderings of those types, predicted the same way:
+# the DOT text names each node once on its own line and again in its
+# edges, so its size and the time to sort and write it follow this total.
+MAX_GRAPH_CHARS = 2_000_000
 
 
 def superclass_chain(table: ClassTable, t: TypeExpr) -> Iterator[TypeExpr]:
@@ -52,7 +73,13 @@ def is_subtype(table: ClassTable, s: TypeExpr, t: TypeExpr) -> bool:
         return True
     if t == OBJECT:
         return True
-    return any(sup == t for sup in superclass_chain(table, s))
+    found = chain_meet(table, s.name, t.name)
+    if found is None:
+        return False
+    if not s.args:
+        return found == t
+    params = table.infos[s.name].param_names
+    return substitute(found, dict(zip(params, s.args))) == t
 
 
 def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
@@ -61,8 +88,10 @@ def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
     Nullary applications have depth 0; ``C<ts>`` has depth one more than
     its deepest argument. For a table of k unary classes the counts obey
     n(d+1) = 2 + k * n(d) with n(0) = 2, the 2 being Null and Object.
-    A depth whose count would exceed MAX_GRAPH_NODES is rejected, and so
-    is one past the parser's MAX_NESTING, whose types no query could name.
+    A depth whose count would exceed MAX_GRAPH_NODES, or whose types'
+    renderings would total more than MAX_GRAPH_CHARS characters, is
+    rejected before anything is built, and so is one past the parser's
+    MAX_NESTING, whose types no query could name.
     """
     if depth < 0:
         raise InvalidValue(f"depth must be nonnegative, got {depth}")
@@ -76,12 +105,24 @@ def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
             generic.append((name, arity))
     if not generic:
         depth = 0  # every depth gives the same nullary types
-    count = len(base)
+    count = base_count = len(base)
+    chars = base_chars = sum(len(t.name) for t in base)
     for _ in range(depth):
-        count = len(base) + sum(count ** arity for _, arity in generic)
+        # n types of total length S give n^k applications of a class of
+        # arity k, each its name, "<", ">" and k - 1 ", " around k
+        # arguments, and each argument slot holds every type n^(k-1) times.
+        count, chars = (
+            base_count + sum(count ** k for _, k in generic),
+            base_chars + sum(count ** k * (len(name) + 2 * k)
+                             + k * count ** (k - 1) * chars
+                             for name, k in generic))
         if count > MAX_GRAPH_NODES:
             raise InvalidValue(
                 f"depth {depth} enumerates more than {MAX_GRAPH_NODES} ground types")
+        if chars > MAX_GRAPH_CHARS:
+            raise InvalidValue(
+                f"depth {depth} renders more than {MAX_GRAPH_CHARS} characters "
+                f"of ground types")
     if depth > MAX_NESTING:
         raise InvalidValue(
             f"depth {depth} nests deeper than {MAX_NESTING} levels")

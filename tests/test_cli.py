@@ -219,9 +219,11 @@ def _unary_dot(depth: int) -> str:
 
 def _unreadable_files(tmp_path) -> dict[str, str]:
     """Input files the rows below name, by placeholder name: all but
-    `unary` are files no command can use as asked."""
+    `unary` and `wide` are files no command can use as asked."""
     files = {
         "unary": b"class C<T> {}\n",
+        "wide": b"class Cc<T> {}\n" + b"".join(
+            b"class N%d {}\n" % i for i in range(500)),
         "dup": '{"elements": ["a", "b", "a"], "covers": [], "maps": {}}'.encode(),
         "bad_map": '{"elements": ["a"], "maps": {"m": {"a": "zz"}}}'.encode(),
         "one_map": '{"elements": ["a"], "maps": {"succ": {"a": "a"}}}'.encode(),
@@ -279,6 +281,7 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
       "--grid", "5", "--csv", "{enum}.csv"), 2, ""),
     (("graph", "{unary}", "--depth", "201"), 2, ""),
     (("graph", "{unary}", "--depth", "200"), 0, _unary_dot(200)),
+    (("graph", "{wide}", "--depth", "100"), 2, ""),
     (("real", "--upper", "x", "--csv", "{tmp}/missing/a.csv"), 2, ""),
     (("real", "--upper", "x", "--csv", "{tmp}"), 2, ""),
     (("poset", "theorem", "--random", "1", "--max-size", "100", "--seed", "0"),
@@ -297,6 +300,7 @@ def _unreadable_files(tmp_path) -> dict[str, str]:
         "window-narrower-than-grid", "window-step-rounds-to-0",
         "window-repeats-samples", "self-referential-body",
         "self-referential-body-csv", "depth-past-nesting", "depth-at-nesting",
+        "wide-graph-renderings",
         "csv-in-a-missing-directory", "csv-at-a-directory",
         "max-size-100-seed-0", "sweep-at-budget", "sweep-past-budget",
         "sweep-past-budget-small-carriers"])

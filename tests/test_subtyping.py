@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+import time
+
 import pytest
 
+from conftest import SHOWCASE_SRC, walk_is_subtype
 from dfblang.classtable import (
     ArityMismatch,
     IllFormedType,
@@ -179,6 +183,75 @@ class TestCheckedMark:
         assert counts[199] <= 2.1 * counts[100], counts
 
 
+class TestChainMemo:
+    """``is_subtype`` answers from ``chain_meet``'s per-table memo of
+    where a class's open chain meets a head class."""
+
+    def test_agrees_with_the_walk_on_all_pairs_at_depth_2(self):
+        table = build_table(parse_program(SHOWCASE_SRC))
+        nodes = sorted(enumerate_ground(table, 2), key=render)
+        assert len(nodes) == 146
+        for s in nodes:
+            for t in nodes:
+                assert is_subtype(table, s, t) == walk_is_subtype(table, s, t), (
+                    render(s), render(t))
+        # One entry per pair of head names asked, not per pair of types.
+        assert 0 < len(table._meets) <= len(table.infos) ** 2
+
+    def test_memo_is_open_over_the_class_parameters(self):
+        table = build_table(parse_program(SHOWCASE_SRC))
+        assert classtable.chain_meet(table, "E", "C") == App("C", (Var("T"),))
+        assert classtable.chain_meet(table, "E", "E") is None
+        assert classtable.chain_meet(table, "C", "E") is None
+        assert table._meets == {("E", "C"): App("C", (Var("T"),)),
+                                ("E", "E"): None, ("C", "E"): None}
+
+    def test_tables_from_different_texts_keep_their_own_answers(self):
+        with_edge = build_table(parse_program("class C {}\nclass B extends C {}"))
+        without = build_table(parse_program("class C {}\nclass B {}"))
+        b, c = App("B"), App("C")
+        for _ in range(3):
+            assert is_subtype(with_edge, b, c) is True
+            assert is_subtype(without, b, c) is False
+        same = build_table(parse_program("class C {}\nclass B extends C {}"))
+        assert same == with_edge and same._meets is not with_edge._meets
+        assert same._meets == {}
+
+    def test_equality_repr_hash_and_pickling_ignore_the_memo(self):
+        table = build_table(parse_program(SHOWCASE_SRC))
+        fresh = build_table(parse_program(SHOWCASE_SRC))
+
+        def hash_or_error(value):
+            try:
+                return hash(value)
+            except TypeError:
+                return TypeError
+
+        before = (repr(table), hash_or_error(table))
+        s, t = parse_type("E<D<Null>>"), parse_type("C<D<Null>>")
+        assert is_subtype(table, s, t)
+        assert table._meets
+        assert table == fresh and not table != fresh
+        assert (repr(table), hash_or_error(table)) == before
+        assert repr(fresh) == before[0]
+        back = pickle.loads(pickle.dumps(table))
+        assert back == table and back._meets == {}
+        assert is_subtype(back, s, t)
+        assert not is_subtype(back, t, s)
+        assert not is_subtype(back, s, parse_type("C<D<Object>>"))
+
+    def test_a_long_nullary_chain_is_walked_without_recursion(self):
+        n = 3000
+        text = "".join(f"class N{i} extends N{i + 1} {{}}\n" for i in range(n - 1))
+        table = build_table(parse_program(text + f"class N{n - 1} {{}}\n"))
+        bottom, top = App("N0"), App(f"N{n - 1}")
+        start = time.perf_counter()
+        assert is_subtype(table, bottom, top)
+        assert not is_subtype(table, top, bottom)
+        assert not is_subtype(table, bottom, NULL)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestEnumerateGround:
     def test_depth_zero_is_the_nullary_types(self):
         table = build_table(parse_program("class C<T> {}"))
@@ -225,6 +298,29 @@ class TestEnumerateGround:
         assert len(enumerate_ground(table, 1)) == 12
         with pytest.raises(InvalidValue):
             enumerate_ground(table, 2)
+
+    def test_character_budget_admits_exactly_its_total(self, showcase_table,
+                                                       monkeypatch):
+        # Predicted from the counts and arities before anything is built,
+        # so the budget must match the renderings' real total.
+        for table, depth in ((showcase_table, 2), (build_table(parse_program(
+                "class P<A, B> {}\nclass K {}\nclass Long<X, Y, Z> {}")), 1)):
+            total = sum(len(render(t)) for t in enumerate_ground(table, depth))
+            monkeypatch.setattr(subtyping, "MAX_GRAPH_CHARS", total)
+            assert len(enumerate_ground(table, depth)) > 0
+            monkeypatch.setattr(subtyping, "MAX_GRAPH_CHARS", total - 1)
+            with pytest.raises(InvalidValue,
+                               match=f"more than {total - 1} characters"):
+                enumerate_ground(table, depth)
+
+    def test_character_budget_refuses_deep_types_over_a_wide_table(self):
+        # Few nodes per level, but each level renders every type one
+        # level deeper: 50 702 nodes at depth 100, under the node budget.
+        text = "class Cc<T> {}\n" + "".join(f"class N{i} {{}}\n" for i in range(500))
+        table = build_table(parse_program(text))
+        for depth in (44, 100):
+            with pytest.raises(InvalidValue, match=f"depth {depth} renders more"):
+                enumerate_ground(table, depth)
 
     @pytest.mark.parametrize("depth", [6, 10**9])
     def test_depth_past_the_budget_is_rejected(self, showcase_table, depth):
