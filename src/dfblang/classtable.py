@@ -308,35 +308,33 @@ def substitute(expr: TypeExpr, mapping: dict[str, TypeExpr]) -> TypeExpr:
     return App(expr.name, tuple(substitute(a, mapping) for a in expr.args))
 
 
-def _mapping_for(table: ClassTable, name: str,
-                 args: tuple[TypeExpr, ...]) -> tuple[ClassInfo, dict[str, TypeExpr]]:
-    info = table.info(name)
-    if len(args) != info.arity:
-        raise ArityMismatch(name, info.arity, len(args))
-    return info, dict(zip(info.param_names, args))
+def mapping_for(table: ClassTable, t: App) -> tuple[ClassInfo, dict[str, TypeExpr]]:
+    """``t``'s class, and the map from its parameters to ``t``'s arguments."""
+    info = table.info(t.name)
+    if len(t.args) != info.arity:
+        raise ArityMismatch(t.name, info.arity, len(t.args))
+    return info, dict(zip(info.param_names, t.args))
 
 
-def superclass_of(table: ClassTable, name: str,
-                  args: tuple[TypeExpr, ...] = ()) -> TypeExpr:
-    """The direct superclass of ``name<args>`` with arguments substituted in.
+def superclass_of(table: ClassTable, t: App) -> TypeExpr:
+    """The direct superclass of ``t``, with ``t``'s arguments substituted in.
 
     ``Object`` has none, and ``Null`` sits below everything rather than
     on a declared chain; both raise :class:`NoSuperclass`.
     """
-    info, mapping = _mapping_for(table, name, tuple(args))
+    info, mapping = mapping_for(table, t)
     if info.extends_clause is None:
-        raise NoSuperclass(name)
+        raise NoSuperclass(t.name)
     return substitute(info.extends_clause, mapping)
 
 
-def bounds_of(table: ClassTable, name: str,
-              args: tuple[TypeExpr, ...] = ()) -> list[tuple[TypeExpr, TypeExpr]]:
-    """Per-parameter (lower, upper) bounds of ``name``, instantiated at ``args``.
+def bounds_of(table: ClassTable, t: App) -> list[tuple[TypeExpr, TypeExpr]]:
+    """Per-parameter (lower, upper) bounds of ``t``, at ``t``'s arguments.
 
     The substitution is simultaneous, so a bound that mentions several
-    parameters sees all of ``args`` at once.
+    parameters sees all of the arguments at once.
     """
-    info, mapping = _mapping_for(table, name, tuple(args))
+    info, mapping = mapping_for(table, t)
     return [
         (substitute(lo, mapping), substitute(hi, mapping))
         for lo, hi in zip(info.lowers, info.uppers)
@@ -365,7 +363,7 @@ def chain_meet(table: ClassTable, name: str, head: str) -> TypeExpr | None:
     cur: TypeExpr = App(name, tuple(Var(p) for p in info.param_names))
     found = None
     while cur.name not in ("Object", "Null"):
-        cur = superclass_of(table, cur.name, cur.args)
+        cur = superclass_of(table, cur)
         if cur.name == head:
             found = cur
             break

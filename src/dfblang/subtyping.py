@@ -37,6 +37,7 @@ from itertools import product
 from .classtable import (
     ClassTable,
     chain_meet,
+    mapping_for,
     require_well_formed,
     substitute,
     superclass_of,
@@ -60,7 +61,7 @@ def superclass_chain(table: ClassTable, t: TypeExpr) -> Iterator[TypeExpr]:
     assert isinstance(t, App)
     cur = t
     while cur.name not in ("Object", "Null"):
-        cur = superclass_of(table, cur.name, cur.args)
+        cur = superclass_of(table, cur)
         yield cur
 
 
@@ -78,8 +79,7 @@ def is_subtype(table: ClassTable, s: TypeExpr, t: TypeExpr) -> bool:
         return False
     if not s.args:
         return found == t
-    params = table.infos[s.name].param_names
-    return substitute(found, dict(zip(params, s.args))) == t
+    return substitute(found, mapping_for(table, s)[1]) == t
 
 
 def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
@@ -92,6 +92,9 @@ def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
     renderings would total more than MAX_GRAPH_CHARS characters, is
     rejected before anything is built, and so is one past the parser's
     MAX_NESTING, whose types no query could name.
+
+    Each type is built once: level d + 1 holds only the applications
+    with an argument new at level d, the others being already built.
     """
     if depth < 0:
         raise InvalidValue(f"depth must be nonnegative, got {depth}")
@@ -126,14 +129,18 @@ def enumerate_ground(table: ClassTable, depth: int) -> frozenset[TypeExpr]:
     if depth > MAX_NESTING:
         raise InvalidValue(
             f"depth {depth} nests deeper than {MAX_NESTING} levels")
-    current: set[TypeExpr] = set(base)
+    # By the first new argument's position i: older types before it, any after.
+    older: list[TypeExpr] = []
+    new = list(base)
     for _ in range(depth):
-        grown = set(base)
-        for name, arity in generic:
-            for args in product(current, repeat=arity):
-                grown.add(App(name, args))
-        current = grown
-    return frozenset(current)
+        known = older + new
+        grown = [App(name, args)
+                 for name, arity in generic
+                 for i in range(arity)
+                 for args in product(*[older] * i, new,
+                                     *[known] * (arity - 1 - i))]
+        older, new = known, grown
+    return frozenset(older + new)
 
 
 class GroundGraph(Record):
@@ -173,12 +180,12 @@ def ground_graph(table: ClassTable, depth: int) -> GroundGraph:
 
 
 def export_graph(table: ClassTable, depth: int) -> str:
-    """Render the ground subtype graph as deterministic DOT text."""
+    """Render the ground subtype graph as deterministic DOT text, each node once."""
     graph = ground_graph(table, depth)
+    text = {node: render(node) for node in graph.nodes}
     lines = ["digraph subtyping {"]
-    for node in sorted(graph.nodes, key=render):
-        lines.append(f'  "{render(node)}";')
-    for src, dst in sorted(graph.edges, key=lambda e: (render(e[0]), render(e[1]))):
-        lines.append(f'  "{render(src)}" -> "{render(dst)}";')
+    lines.extend(f'  "{name}";' for name in sorted(text.values()))
+    lines.extend(f'  "{src}" -> "{dst}";' for src, dst in
+                 sorted((text[src], text[dst]) for src, dst in graph.edges))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Deciding whether ground type arguments satisfy declared bounds.
 
-Two gates apply to an instantiation ``C<A1, .., Ak>``:
+Two gates apply to an instantiation ``C<A1, .., Ak>``, taken whole as an ``App``:
 
 * admittable: every argument is a ground, arity-correct type over the
   table. Bounds play no part.
@@ -14,9 +14,11 @@ walking into bounds: the bound instantiations themselves (``Enum<Color>``
 when checking ``Color`` against ``class Enum<T extends Enum<T>>``) are
 only ever operands of subtype queries, never judged in turn. Every
 subtype query performed is recorded in the verdict's log with the
-instantiation that triggered it, which is how tests observe that no
-bound-side re-check ever happens and that the query count stays at most
-2 * (number of applications) * (maximum arity) for a full deep check.
+instantiation that triggered it: :func:`check_type` hands each node of
+the query over unchanged, and that very node is the ``subject`` of its
+queries. The log is how tests observe that no bound-side re-check ever
+happens and that the query count stays at most 2 * (number of
+applications) * (maximum arity) for a full deep check.
 
 Well-formedness is checked once per type: :func:`is_admittable` checks
 each argument, and the subtype queries that follow find the arguments
@@ -91,55 +93,46 @@ class Verdict(Record):
         return self.status is Status.VALID
 
 
-def is_admittable(table: ClassTable, class_name: str,
-                  args: tuple[TypeExpr, ...]) -> bool:
+def is_admittable(table: ClassTable, t: App) -> bool:
     """Ground and arity-correct, bounds ignored.
 
-    The class itself must exist; problems with the arguments make the
+    ``t``'s class must exist; problems with its arguments make the
     answer False rather than an error.
     """
-    info = table.info(class_name)
-    if len(args) != info.arity:
+    if len(t.args) != table.arity(t.name):
         return False
     try:
-        for a in args:
+        for a in t.args:
             require_well_formed(table, a)
     except IllFormedType:
         return False
     return True
 
 
-def is_valid_argument(table: ClassTable, class_name: str,
-                      args: tuple[TypeExpr, ...]) -> Verdict:
-    """Judge the arguments of a single instantiation against its bounds.
+def is_valid_argument(table: ClassTable, t: App) -> Verdict:
+    """Judge the arguments of the single instantiation ``t`` against its bounds.
 
     All parameters are checked even after a failure, so the verdict
-    reports every violated bound.
+    reports every violated bound. ``t`` is the subject of each logged query.
     """
-    args = tuple(args)
-    if not is_admittable(table, class_name, args):
-        raise NotAdmittable(
-            f"{render(App(class_name, args))} is not admittable: arguments "
-            f"must be ground, arity-correct types over the table"
-        )
-    subject = App(class_name, args)
-    info = table.info(class_name)
+    if not is_admittable(table, t):
+        raise NotAdmittable(f"{render(t)} is not admittable: arguments must "
+                            f"be ground, arity-correct types over the table")
+    info = table.info(t.name)
     log: list[QueryRecord] = []
     reasons: list[str] = []
-    for pname, arg, (lo, hi) in zip(
-        info.param_names, args, bounds_of(table, class_name, args)
-    ):
-        log.append(QueryRecord(lo, arg, subject))
+    for pname, arg, (lo, hi) in zip(info.param_names, t.args, bounds_of(table, t)):
+        log.append(QueryRecord(lo, arg, t))
         if not is_subtype(table, lo, arg):
             reasons.append(
                 f"{render(lo)} is not a subtype of {render(arg)} "
-                f"(lower bound of {pname} in {class_name})"
+                f"(lower bound of {pname} in {t.name})"
             )
-        log.append(QueryRecord(arg, hi, subject))
+        log.append(QueryRecord(arg, hi, t))
         if not is_subtype(table, arg, hi):
             reasons.append(
                 f"{render(arg)} is not a subtype of {render(hi)} "
-                f"(upper bound of {pname} in {class_name})"
+                f"(upper bound of {pname} in {t.name})"
             )
     status = Status.INVALID if reasons else Status.VALID
     return Verdict(status, tuple(reasons), tuple(log))
@@ -163,7 +156,7 @@ def check_type(table: ClassTable, t: TypeExpr) -> Verdict:
     stack = [t]
     while stack:
         node = stack.pop()
-        verdict = is_valid_argument(table, node.name, node.args)
+        verdict = is_valid_argument(table, node)
         valid = valid and verdict.is_valid
         reasons.extend(verdict.reasons)
         log.extend(verdict.query_log)

@@ -157,7 +157,7 @@ def test_criterion_5_subtyping_axioms(showcase_table, enum_table):
                     [(arg,) for arg in nodes]
                 for args in tuples:
                     inst = App(name, args)
-                    sup = superclass_of(table, name, args)
+                    sup = superclass_of(table, inst)
                     assert is_subtype(table, inst, sup), \
                         f"{render(inst)} must be below its substituted superclass"
         assert time.perf_counter() - start < 5.0
@@ -170,7 +170,7 @@ def test_criterion_6_useless_declaration(useless_table):
         args = sorted(enumerate_ground(useless_table, 49), key=render)
         assert len(args) == 100
         for arg in args:
-            verdict = is_valid_argument(useless_table, "Fx", (arg,))
+            verdict = is_valid_argument(useless_table, App("Fx", (arg,)))
             assert verdict.status is Status.INVALID, render(arg)
 
 

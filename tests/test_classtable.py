@@ -175,48 +175,56 @@ class TestSubstitute:
 class TestSuperclassOf:
     def test_declared_chain(self, showcase_table):
         x = App("X")
-        assert superclass_of(showcase_table, "E", (x,)) == App("D", (x,))
-        assert superclass_of(showcase_table, "D", (x,)) == App("C", (x,))
-        assert superclass_of(showcase_table, "C", (x,)) == OBJECT
+        assert superclass_of(showcase_table, App("E", (x,))) == App("D", (x,))
+        assert superclass_of(showcase_table, App("D", (x,))) == App("C", (x,))
+        assert superclass_of(showcase_table, App("C", (x,))) == OBJECT
 
     def test_nongeneric_superclass_substitutes_nothing(self, enum_table):
-        assert superclass_of(enum_table, "Color") == App("Enum", (App("Color"),))
+        assert superclass_of(enum_table, App("Color")) == App("Enum", (App("Color"),))
 
     @pytest.mark.parametrize("name", ["Object", "Null"])
     def test_roots_have_no_superclass(self, name, showcase_table):
         with pytest.raises(NoSuperclass):
-            superclass_of(showcase_table, name)
+            superclass_of(showcase_table, App(name))
 
     def test_arity_checked(self, showcase_table):
         with pytest.raises(ArityMismatch):
-            superclass_of(showcase_table, "C", ())
+            superclass_of(showcase_table, App("C", ()))
 
     def test_unknown_class(self, showcase_table):
         with pytest.raises(UnknownClass):
-            superclass_of(showcase_table, "Zorp", ())
+            superclass_of(showcase_table, App("Zorp", ()))
 
 
 class TestBoundsOf:
     def test_doubly_bounded_parameter(self, showcase_table):
         x = App("X")
-        assert bounds_of(showcase_table, "F", (x,)) == [
+        assert bounds_of(showcase_table, App("F", (x,))) == [
             (App("E", (x,)), App("C", (x,)))
         ]
 
     def test_self_bounded_upper(self, enum_table):
         color = App("Color")
-        assert bounds_of(enum_table, "Enum", (color,)) == [
+        assert bounds_of(enum_table, App("Enum", (color,))) == [
             (NULL, App("Enum", (color,)))
         ]
 
     def test_nullary_class_has_no_bounds(self, enum_table):
-        assert bounds_of(enum_table, "Color") == []
+        assert bounds_of(enum_table, App("Color")) == []
+
+    def test_arity_checked(self, showcase_table):
+        with pytest.raises(ArityMismatch):
+            bounds_of(showcase_table, App("F", ()))
+
+    def test_unknown_class(self, showcase_table):
+        with pytest.raises(UnknownClass):
+            bounds_of(showcase_table, App("Zorp", ()))
 
     def test_substitution_is_simultaneous(self):
         # The argument for A reuses the name B; a sequential substitution
         # would rewrite it again, a simultaneous one leaves it alone.
         src = "class Pair<X, Y> {} class M<A extends Pair<A, B>, B> {}"
         table = build_table(parse_program(src))
-        lo, hi = bounds_of(table, "M", (Var("B"), App("X")))[0]
+        lo, hi = bounds_of(table, App("M", (Var("B"), App("X"))))[0]
         assert hi == App("Pair", (Var("B"), App("X")))
         assert lo == NULL

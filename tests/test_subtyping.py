@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import time
+from itertools import product
 
 import pytest
 
@@ -316,8 +317,7 @@ class TestEnumerateGround:
     def test_character_budget_refuses_deep_types_over_a_wide_table(self):
         # Few nodes per level, but each level renders every type one
         # level deeper: 50 702 nodes at depth 100, under the node budget.
-        text = "class Cc<T> {}\n" + "".join(f"class N{i} {{}}\n" for i in range(500))
-        table = build_table(parse_program(text))
+        table = _wide_table()
         for depth in (44, 100):
             with pytest.raises(InvalidValue, match=f"depth {depth} renders more"):
                 enumerate_ground(table, depth)
@@ -331,6 +331,60 @@ class TestEnumerateGround:
     def test_nullary_tables_take_any_depth(self):
         table = build_table(parse_program("class K {}"))
         assert enumerate_ground(table, 10**9) == {NULL, OBJECT, App("K")}
+
+    def test_each_type_is_built_once(self, showcase_table, monkeypatch):
+        built = []
+
+        def counting(name, args=()):
+            built.append(args)
+            return App(name, args)
+
+        monkeypatch.setattr(subtyping, "App", counting)
+        for table, depth in ((showcase_table, 3), (_wide_table(), 20),
+                             (build_table(parse_program(BINARY_SRC)), 2)):
+            base = enumerate_ground(table, 0)
+            built.clear()
+            nodes = enumerate_ground(table, depth)
+            assert len([args for args in built if args]) == len(nodes - base)
+            assert len(built) == len(nodes)
+
+    def test_agrees_with_regrowing_every_level(self, showcase_table,
+                                               enum_table):
+        for table, depth in ((showcase_table, 3), (enum_table, 4),
+                             (_wide_table(), 10),
+                             (build_table(parse_program(BINARY_SRC)), 2)):
+            for d in range(depth + 1):
+                assert enumerate_ground(table, d) == _regrown(table, d)
+
+
+# A binary class beside a unary and a nullary one.
+BINARY_SRC = "class P<A, B> {}\nclass U<T extends U<T>> {}\nclass K {}\n"
+
+
+def _wide_table():
+    """``class Cc<T> {}`` beside 500 nullary classes."""
+    text = "class Cc<T> {}\n" + "".join(f"class N{i} {{}}\n" for i in range(500))
+    return build_table(parse_program(text))
+
+
+def _regrown(table, depth):
+    """Ground types to ``depth`` by rebuilding every lower level at each
+    depth: the reference ``enumerate_ground`` must equal."""
+    base = {NULL, OBJECT}
+    generic = []
+    for name in table.names():
+        if table.arity(name) == 0:
+            base.add(App(name))
+        else:
+            generic.append((name, table.arity(name)))
+    current = set(base)
+    for _ in range(depth if generic else 0):
+        grown = set(base)
+        for name, arity in generic:
+            for args in product(current, repeat=arity):
+                grown.add(App(name, args))
+        current = grown
+    return current
 
 
 def _reachable(graph):
@@ -395,6 +449,32 @@ class TestGroundGraph:
         assert node_lines == sorted(node_lines)
         assert first.endswith("}\n")
         assert "\r" not in first
+
+    def test_each_node_is_rendered_once(self, showcase_table, monkeypatch):
+        rendered = 0
+
+        def counting(t):
+            nonlocal rendered
+            rendered += 1
+            return render(t)
+
+        monkeypatch.setattr(subtyping, "render", counting)
+        dot = export_graph(showcase_table, 2)
+        assert rendered == len(ground_graph(showcase_table, 2).nodes) == 146
+        assert dot.count(";\n") - dot.count("->") == 146
+
+    def test_dot_output_sorts_nodes_and_edges_by_their_text(self, enum_table):
+        for table, depth in ((enum_table, 2),
+                             (build_table(parse_program(BINARY_SRC)), 2)):
+            graph = ground_graph(table, depth)
+            lines = ["digraph subtyping {"]
+            for node in sorted(graph.nodes, key=render):
+                lines.append(f'  "{render(node)}";')
+            for src, dst in sorted(graph.edges,
+                                   key=lambda e: (render(e[0]), render(e[1]))):
+                lines.append(f'  "{render(src)}" -> "{render(dst)}";')
+            lines.append("}")
+            assert export_graph(table, depth) == "\n".join(lines) + "\n"
 
 
 class TestSubstitutionSoundness:

@@ -33,33 +33,33 @@ def _app_nodes(t) -> int:
 
 class TestIsAdmittable:
     def test_ground_arity_correct_argument(self, enum_table):
-        assert is_admittable(enum_table, "Enum", (App("Color"),))
+        assert is_admittable(enum_table, App("Enum", (App("Color"),)))
 
     def test_bounds_play_no_part(self, enum_table):
         # Object violates Enum's bound yet is perfectly admittable.
-        assert is_admittable(enum_table, "Enum", (OBJECT,))
+        assert is_admittable(enum_table, App("Enum", (OBJECT,)))
 
     def test_misapplied_argument_is_not_admittable(self, enum_table):
-        assert not is_admittable(enum_table, "Enum", (App("Enum"),))
+        assert not is_admittable(enum_table, App("Enum", (App("Enum"),)))
 
     def test_wrong_argument_count(self, enum_table):
-        assert not is_admittable(enum_table, "Enum", ())
-        assert not is_admittable(enum_table, "Color", (NULL,))
+        assert not is_admittable(enum_table, App("Enum", ()))
+        assert not is_admittable(enum_table, App("Color", (NULL,)))
 
     def test_open_or_unknown_arguments(self, enum_table):
-        assert not is_admittable(enum_table, "Enum", (Var("T"),))
-        assert not is_admittable(enum_table, "Enum", (App("Zorp"),))
+        assert not is_admittable(enum_table, App("Enum", (Var("T"),)))
+        assert not is_admittable(enum_table, App("Enum", (App("Zorp"),)))
         nested = App("Enum", (App("Enum", (App("Zorp"),)),))
-        assert not is_admittable(enum_table, "Enum", (nested,))
+        assert not is_admittable(enum_table, App("Enum", (nested,)))
 
     def test_unknown_class_is_an_error(self, enum_table):
         with pytest.raises(UnknownClass):
-            is_admittable(enum_table, "Zorp", ())
+            is_admittable(enum_table, App("Zorp", ()))
 
 
 class TestIsValidArgument:
     def test_bound_satisfied_via_declared_chain(self, enum_table):
-        verdict = is_valid_argument(enum_table, "Enum", (App("Color"),))
+        verdict = is_valid_argument(enum_table, App("Enum", (App("Color"),)))
         assert verdict.status is Status.VALID
         assert verdict.reasons == ()
         assert [(render(q.left), render(q.right)) for q in verdict.query_log] == [
@@ -67,7 +67,7 @@ class TestIsValidArgument:
         ]
 
     def test_bound_violated(self, enum_table):
-        verdict = is_valid_argument(enum_table, "Enum", (OBJECT,))
+        verdict = is_valid_argument(enum_table, App("Enum", (OBJECT,)))
         assert verdict.status is Status.INVALID
         assert verdict.reasons == (
             "Object is not a subtype of Enum<Object> (upper bound of T in Enum)",
@@ -76,14 +76,14 @@ class TestIsValidArgument:
     def test_directly_declared_superclass_satisfies_the_bound(self):
         src = "class C<T> {} class D<T extends C<T>> {} class X extends C<X> {}"
         table = build_table(parse_program(src))
-        verdict = is_valid_argument(table, "D", (App("X"),))
+        verdict = is_valid_argument(table, App("D", (App("X"),)))
         assert verdict.status is Status.VALID
 
     def test_every_parameter_is_checked_no_short_circuit(self):
         src = ("class C<T> {} "
                "class P<A extends C<A>, B extends C<B>> {}")
         table = build_table(parse_program(src))
-        verdict = is_valid_argument(table, "P", (OBJECT, NULL))
+        verdict = is_valid_argument(table, App("P", (OBJECT, NULL)))
         assert verdict.status is Status.INVALID
         # First parameter fails, second passes; all four queries still run.
         assert len(verdict.query_log) == 4
@@ -92,25 +92,25 @@ class TestIsValidArgument:
     def test_two_parameters_two_failures_two_reasons(self, enum_table):
         src = "class P<A extends Null, B extends Null> {}"
         table = build_table(parse_program(src))
-        verdict = is_valid_argument(table, "P", (OBJECT, OBJECT))
+        verdict = is_valid_argument(table, App("P", (OBJECT, OBJECT)))
         assert len(verdict.reasons) == 2
 
     def test_queries_cost_two_per_parameter(self, showcase_table):
-        verdict = is_valid_argument(showcase_table, "F", (NULL,))
+        verdict = is_valid_argument(showcase_table, App("F", (NULL,)))
         assert len(verdict.query_log) == 2
 
     def test_not_admittable_is_an_error(self, enum_table):
         with pytest.raises(NotAdmittable):
-            is_valid_argument(enum_table, "Enum", (App("Enum"),))
+            is_valid_argument(enum_table, App("Enum", (App("Enum"),)))
 
     def test_nullary_instantiation_is_trivially_valid(self, enum_table):
-        verdict = is_valid_argument(enum_table, "Color", ())
+        verdict = is_valid_argument(enum_table, App("Color", ()))
         assert verdict.status is Status.VALID
         assert verdict.query_log == ()
 
     def test_lower_bound_failures_reported_too(self, showcase_table):
         # F wants E<T> below T; Object is above, C<Object> is not.
-        verdict = is_valid_argument(showcase_table, "F", (App("C", (OBJECT,)),))
+        verdict = is_valid_argument(showcase_table, App("F", (App("C", (OBJECT,)),)))
         assert verdict.status is Status.INVALID
         assert any("lower bound" in r for r in verdict.reasons)
 
@@ -118,7 +118,7 @@ class TestIsValidArgument:
 class TestBoundContext:
     def test_admittability_still_required(self, enum_table):
         with pytest.raises(NotAdmittable):
-            is_valid_argument(enum_table, "Enum", (App("Enum"),))
+            is_valid_argument(enum_table, App("Enum", (App("Enum"),)))
 
 
 class TestCheckType:
@@ -177,7 +177,7 @@ class TestCheckType:
         for t in enumerate_ground(enum_table, 2):
             verdict = check_type(enum_table, t)
             expected = all(
-                is_valid_argument(enum_table, s.name, s.args).is_valid
+                is_valid_argument(enum_table, s).is_valid
                 for s in subterms(t)
             )
             assert verdict.is_valid == expected, render(t)
@@ -214,11 +214,25 @@ class TestCheckType:
             for q in verdict.query_log:
                 assert render(q.subject) in allowed
 
+    def test_each_subject_is_the_very_node_of_the_query(self, showcase_table):
+        # Outermost first, left to right: each node of the parsed query
+        # is the subject of its 2k queries, the same object, not a copy.
+        t = parse_type("F<E<G<D<Object>>>>")
+        nodes, stack = [], [t]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(reversed(node.args))
+        expected = [node for node in nodes for _ in range(2 * len(node.args))]
+        log = check_type(showcase_table, t).query_log
+        assert len(log) == len(expected) == 8
+        assert all(q.subject is node for q, node in zip(log, expected))
+
 
 class TestUselessDeclaration:
     def test_no_argument_is_ever_valid(self, useless_table):
         args = sorted(enumerate_ground(useless_table, 6), key=render)
         assert len(args) >= 10
         for arg in args:
-            verdict = is_valid_argument(useless_table, "Fx", (arg,))
+            verdict = is_valid_argument(useless_table, App("Fx", (arg,)))
             assert verdict.status is Status.INVALID, render(arg)
