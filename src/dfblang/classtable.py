@@ -184,7 +184,8 @@ def require_well_formed(table: ClassTable, expr: TypeExpr,
     ones, costs only its unmarked nodes. A check under a scope, or one
     that fails, marks nothing. The mark holds the dict itself, not its
     ``id()``, so it can never match a later table; a table's ``infos``
-    must not change once built.
+    must not change once built. ``subtyping.is_subtype`` and
+    ``validity.is_admittable`` read the mark to skip this call.
     """
     if isinstance(expr, Var):
         if expr.name not in scope:
@@ -305,7 +306,8 @@ def substitute(expr: TypeExpr, mapping: dict[str, TypeExpr]) -> TypeExpr:
             raise UnboundVariable(expr.name) from None
     if not expr.args:
         return expr
-    return App(expr.name, tuple(substitute(a, mapping) for a in expr.args))
+    return App.of_identifier(expr.name,
+                             tuple([substitute(a, mapping) for a in expr.args]))
 
 
 def mapping_for(table: ClassTable, t: App) -> tuple[ClassInfo, dict[str, TypeExpr]]:
@@ -332,11 +334,12 @@ def bounds_of(table: ClassTable, t: App) -> list[tuple[TypeExpr, TypeExpr]]:
     """Per-parameter (lower, upper) bounds of ``t``, at ``t``'s arguments.
 
     The substitution is simultaneous, so a bound that mentions several
-    parameters sees all of the arguments at once.
+    parameters sees all of the arguments at once; nullary bounds are kept.
     """
     info, mapping = mapping_for(table, t)
     return [
-        (substitute(lo, mapping), substitute(hi, mapping))
+        (substitute(lo, mapping) if lo.__class__ is Var or lo.args else lo,
+         substitute(hi, mapping) if hi.__class__ is Var or hi.args else hi)
         for lo, hi in zip(info.lowers, info.uppers)
     ]
 

@@ -13,12 +13,13 @@ borrows its methods. Only ``App`` (hash stored at construction, identity
 compared first) and ``ClassDecl`` (``pos`` left out of equality) write
 their own ``__eq__`` and ``__hash__``; every record writes its own
 ``__init__``. A slot not named in ``__match_args__`` is not a field, so
-none of the above sees it: ``App`` keeps two, ``_hash`` and
-``_checked`` (the table it was last found well-formed against, set only
-by ``classtable.require_well_formed``), and a pickled ``App`` comes back
-with its hash recomputed and no mark. ``ClassTable`` keeps one,
-``_meets`` (``classtable.chain_meet``'s memo), and a pickled or rebuilt
-table comes back with an empty one.
+none of the above sees it: ``App`` keeps two, ``_hash`` and ``_checked``
+(the table it was last found well-formed against, set only by
+``classtable.require_well_formed`` and read by ``subtyping.is_subtype``
+and ``validity.is_admittable``), and a pickled ``App`` comes back with
+its hash recomputed and no mark. ``ClassTable`` keeps one, ``_meets``
+(``classtable.chain_meet``'s memo), and a pickled or rebuilt table comes
+back with an empty one.
 """
 
 from __future__ import annotations

@@ -20,9 +20,10 @@ square of the table's size however many queries are asked.
 
 Both operands must be ground and well-formed over the table, or
 :func:`is_subtype` raises. The check is ``require_well_formed``, which
-marks each type it passes and returns at once on a marked one, so asking
-again about types already checked against the same table (as validity
-does for every argument and bound) costs only their new nodes.
+marks each type it passes; :func:`is_subtype` calls it only on an operand
+not yet marked against this table, so asking again about types already
+checked (as validity does for every argument and bound) costs only
+their new nodes.
 
 The module also enumerates ground types up to a nesting depth and can
 export the induced subtype graph as DOT text; the graph is an artifact
@@ -66,18 +67,17 @@ def superclass_chain(table: ClassTable, t: TypeExpr) -> Iterator[TypeExpr]:
 
 
 def is_subtype(table: ClassTable, s: TypeExpr, t: TypeExpr) -> bool:
-    require_well_formed(table, s)
-    require_well_formed(table, t)
-    if s == t:
-        return True
-    if s == NULL:
-        return True
-    if t == OBJECT:
+    if s._checked is not table.infos:
+        require_well_formed(table, s)
+    if t._checked is not table.infos:
+        require_well_formed(table, t)
+    # Both are well-formed now, so a head name decides Null and Object.
+    if s == t or s.name == "Null" or t.name == "Object":
         return True
     found = chain_meet(table, s.name, t.name)
     if found is None:
         return False
-    if not s.args:
+    if not (s.args and found.args):  # nothing to substitute into
         return found == t
     return substitute(found, mapping_for(table, s)[1]) == t
 

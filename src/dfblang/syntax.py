@@ -54,6 +54,7 @@ class Var(Record):
 
     __slots__ = ("name",)
     __match_args__ = ("name",)
+    _checked = None  # never ground, so never marked as an App can be
 
     def __init__(self, name: str):
         _check_identifier(name)
@@ -73,8 +74,9 @@ class App(Record):
     sets it to the ``infos`` dict of the table against which the type was
     found ground and well-formed, and skips the walk when it meets that
     same dict again. It is never set by a check under a scope or by one
-    that failed. Like ``_hash`` it is not a field: equality, hash, repr,
-    pickling and ``match`` ignore it.
+    that failed. ``subtyping.is_subtype`` and ``validity.is_admittable``
+    read it to skip that check. Like ``_hash`` it is not a field:
+    equality, hash, repr, pickling and ``match`` ignore it.
     """
 
     __slots__ = ("name", "args", "_hash", "_checked")
@@ -87,6 +89,16 @@ class App(Record):
         set_field(self, "args", args)
         set_field(self, "_hash", hash((name, args)))
         set_field(self, "_checked", None)
+
+    @classmethod
+    def of_identifier(cls, name: str, args: tuple[TypeExpr, ...] = ()) -> App:
+        """``App(name, args)`` for a known identifier and a tuple of args."""
+        self = cls.__new__(cls)
+        set_field(self, "name", name)
+        set_field(self, "args", args)
+        set_field(self, "_hash", hash((name, args)))
+        set_field(self, "_checked", None)
+        return self
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -237,7 +249,7 @@ def _parse_type(tokens: list[tuple[str, str, int, int]], i: int,
     i += 1
     _, text, line, column = tokens[i]
     if text != "<":
-        return (Var(name) if name in scope else App(name)), i
+        return (Var(name) if name in scope else App.of_identifier(name)), i
     if depth == MAX_NESTING:
         raise ParseError(
             f"type arguments nested deeper than {MAX_NESTING} levels",
@@ -251,7 +263,7 @@ def _parse_type(tokens: list[tuple[str, str, int, int]], i: int,
             break
     if text != ">":
         _fail(tokens[i], (">",))
-    return App(name, args), i + 1
+    return App.of_identifier(name, tuple(args)), i + 1
 
 
 def _bare_name(expr: TypeExpr, tok: tuple[str, str, int, int]) -> str:

@@ -7,12 +7,14 @@ Two gates apply to an instantiation ``C<A1, .., Ak>``, taken whole as an ``App``
 * valid: admittable, and each argument sits between its substituted
   bounds, ``Li[A/T] <: Ai <: Ui[A/T]``.
 
-Validity of ``C<As>`` costs exactly 2k subtype queries. The paper's
-coinductive reading says an admittable argument inside a bound counts
-as valid without a re-check, and :func:`check_type` follows it by never
-walking into bounds: the bound instantiations themselves (``Enum<Color>``
-when checking ``Color`` against ``class Enum<T extends Enum<T>>``) are
-only ever operands of subtype queries, never judged in turn. Every
+Validity of ``C<As>`` costs exactly 2k subtype queries, so a nullary
+argument needs none: its parent's admittability check settles it, and
+:func:`check_type` judges only the root and the arguments with arguments.
+The paper's coinductive reading says an admittable argument inside a
+bound counts as valid without a re-check, and :func:`check_type` follows
+it by never walking into bounds: the bound instantiations themselves
+(``Enum<Color>`` when checking ``Color`` against ``class Enum<T extends
+Enum<T>>``) are only ever operands of subtype queries, never judged. Every
 subtype query performed is recorded in the verdict's log with the
 instantiation that triggered it: :func:`check_type` hands each node of
 the query over unchanged, and that very node is the ``subject`` of its
@@ -21,11 +23,11 @@ happens and that the query count stays at most 2 * (number of
 applications) * (maximum arity) for a full deep check.
 
 Well-formedness is checked once per type: :func:`is_admittable` checks
-each argument, and the subtype queries that follow find the arguments
-already marked by ``require_well_formed``, so they check only the nodes
-that substitution built into the bounds. The well-formedness work of a
-full deep check is therefore linear in the size of the query and its
-bounds, not quadratic in its depth.
+each argument not yet marked by ``require_well_formed``, and the subtype
+queries that follow find the arguments marked, so they check only the
+nodes that substitution built into the bounds. The well-formedness work
+of a full deep check is therefore linear in the size of the query and
+its bounds, not quadratic in its depth.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ def is_admittable(table: ClassTable, t: App) -> bool:
         return False
     try:
         for a in t.args:
-            require_well_formed(table, a)
+            if a._checked is not table.infos:
+                require_well_formed(table, a)
     except IllFormedType:
         return False
     return True
@@ -142,8 +145,9 @@ def check_type(table: ClassTable, t: TypeExpr) -> Verdict:
     """Validate a ground type and, recursively, its argument subterms.
 
     Each nested instantiation among the arguments is judged once,
-    outermost first, left to right. The walk never enters a bound, so
-    bound instantiations are only ever operands of the logged queries.
+    outermost first, left to right; a nullary argument, settled by its
+    parent's admittability check, is not. The walk never enters a bound,
+    so bound instantiations are only ever operands of the logged queries.
     """
     if isinstance(t, Var):
         raise NotAdmittable(f"{render(t)} is a type variable, not a ground type")
@@ -160,6 +164,6 @@ def check_type(table: ClassTable, t: TypeExpr) -> Verdict:
         valid = valid and verdict.is_valid
         reasons.extend(verdict.reasons)
         log.extend(verdict.query_log)
-        stack.extend(reversed(node.args))  # ground, checked above
+        stack.extend([a for a in reversed(node.args) if a.args])
     status = Status.VALID if valid else Status.INVALID
     return Verdict(status, tuple(reasons), tuple(log))

@@ -1,8 +1,10 @@
-"""Shared fixtures: the two standard class tables and CLI helpers."""
+"""Shared fixtures: the standard class tables, CLI helpers and generated programs."""
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -108,3 +110,28 @@ def run_cli_process(*argv: str, **env_vars: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "dfblang", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _load_gen_types():
+    path = REPO_ROOT / "perfbench" / "gen_types.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen_types", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's program generator and independent oracle, loaded from
+# its file unedited; it shares no code with dfblang.
+gen_types = _load_gen_types()
+
+
+def generated(seed, count):
+    """A generated program, its class table and ``count`` of its queries."""
+    rng = random.Random(f"oracle-{seed}")
+    program = gen_types.Program(rng, families=2, chain_len=6)
+    table = build_table(parse_program(program.source()))
+    queries = [program.chain_query(rng) if rng.random() < 0.35
+               else program.deep_query(rng, rng.randint(1, 12))
+               for _ in range(count)]
+    return program, table, queries

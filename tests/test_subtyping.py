@@ -135,12 +135,23 @@ class TestCheckedMark:
     well-formed against the same table, and only then."""
 
     def test_a_type_checked_against_one_table_is_rechecked_against_another(self):
+        # Through the check itself and through its two readers, which
+        # skip it only on a type marked against the very same table.
         t = parse_type("B<B<Object>>")
         require_well_formed(build_table(parse_program("class B<T> {}")), t)
-        with pytest.raises(UnknownClass):
-            require_well_formed(build_table(parse_program("class C {}")), t)
-        with pytest.raises(ArityMismatch):
-            require_well_formed(build_table(parse_program("class B<S, T> {}")), t)
+        for source, error, holder in (
+                ("class C {}", UnknownClass, None),
+                ("class C<T> {}", UnknownClass, App("C", (t,))),
+                ("class B<S, T> {}", ArityMismatch, App("B", (t, NULL)))):
+            table = build_table(parse_program(source))
+            with pytest.raises(error):
+                require_well_formed(table, t)
+            with pytest.raises(error):
+                is_subtype(table, t, OBJECT)
+            with pytest.raises(error):
+                is_subtype(table, NULL, t)
+            if holder is not None:
+                assert not validity.is_admittable(table, holder)
 
     def test_a_check_under_a_scope_leaves_no_mark(self, showcase_table):
         t = App("C", (Var("T"),))

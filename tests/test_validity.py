@@ -6,6 +6,8 @@ import gc
 
 import pytest
 
+from conftest import gen_types, generated
+from dfblang import validity
 from dfblang.classtable import UnknownClass, build_table
 from dfblang.subtyping import enumerate_ground
 from dfblang.syntax import (
@@ -29,6 +31,29 @@ from dfblang.validity import (
 
 def _app_nodes(t) -> int:
     return 1 + sum(_app_nodes(a) for a in t.args)
+
+
+def _preorder(t) -> list:
+    """The nodes of ``t``, outermost first, left to right."""
+    nodes, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(node.args))
+    return nodes
+
+
+def _judging_every_node(table, t):
+    """check_type's answer as it was reached by judging every node of
+    ``t``, nullary arguments included: the reference for the walk that
+    skips them."""
+    valid, reasons, log = True, [], []
+    for node in _preorder(t):
+        verdict = is_valid_argument(table, node)
+        valid = valid and verdict.is_valid
+        reasons.extend(verdict.reasons)
+        log.extend(verdict.query_log)
+    return (Status.VALID if valid else Status.INVALID), tuple(reasons), tuple(log)
 
 
 class TestIsAdmittable:
@@ -214,16 +239,56 @@ class TestCheckType:
             for q in verdict.query_log:
                 assert render(q.subject) in allowed
 
+    def test_judges_the_root_and_each_argument_with_arguments(
+            self, enum_table, showcase_table, monkeypatch):
+        judged = []
+        original = validity.is_valid_argument
+
+        def recording(table, t):
+            judged.append(t)
+            return original(table, t)
+
+        monkeypatch.setattr(validity, "is_valid_argument", recording)
+        for table, text in ((enum_table, "Color"), (enum_table, "Object"),
+                            (enum_table, "Enum<Color>"),
+                            (enum_table, "Enum<Enum<Object>>"),
+                            (showcase_table, "F<E<G<D<Object>>>>"),
+                            (showcase_table, "C<C<Null>>")):
+            t = parse_type(text)
+            judged.clear()
+            check_type(table, t)
+            expected = [t] + [node for node in _preorder(t)[1:] if node.args]
+            assert len(judged) == len(expected), text
+            assert all(a is b for a, b in zip(judged, expected)), text
+        # The root is judged whatever its arity, so an unknown one raises.
+        with pytest.raises(UnknownClass):
+            check_type(enum_table, App("Nope"))
+
+    def test_equals_judging_every_node(self, enum_table, showcase_table,
+                                       useless_table):
+        queries = [(table, t)
+                   for table in (enum_table, showcase_table, useless_table)
+                   for t in sorted(enumerate_ground(table, 2), key=render)]
+        for seed in (1, 2, 3):
+            _, table, generated_queries = generated(seed, 100)
+            queries += [(table, parse_type(gen_types.render(q)))
+                        for q in generated_queries]
+        statuses = set()
+        for table, t in queries:
+            verdict = check_type(table, t)
+            status, reasons, log = _judging_every_node(table, t)
+            assert (verdict.status, verdict.reasons) == (status, reasons), render(t)
+            assert verdict.query_log == log, render(t)
+            assert all(q.subject is r.subject
+                       for q, r in zip(verdict.query_log, log)), render(t)
+            statuses.add(status)
+        assert statuses == {Status.VALID, Status.INVALID}
+
     def test_each_subject_is_the_very_node_of_the_query(self, showcase_table):
         # Outermost first, left to right: each node of the parsed query
         # is the subject of its 2k queries, the same object, not a copy.
         t = parse_type("F<E<G<D<Object>>>>")
-        nodes, stack = [], [t]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            stack.extend(reversed(node.args))
-        expected = [node for node in nodes for _ in range(2 * len(node.args))]
+        expected = [node for node in _preorder(t) for _ in range(2 * len(node.args))]
         log = check_type(showcase_table, t).query_log
         assert len(log) == len(expected) == 8
         assert all(q.subject is node for q, node in zip(log, expected))
