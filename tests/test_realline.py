@@ -22,6 +22,7 @@ from conftest import REPO_ROOT
 from dfblang import realline
 from dfblang.errors import InvalidValue, ParseError
 from dfblang.realline import (
+    DEFAULT_GRID_N,
     BinOp,
     DivisionByZero,
     DomainReport,
@@ -497,13 +498,16 @@ class TestCompilerExtremes:
             sources.append(source)
             return compile(source, *args)
 
+        realline._compiled.cache_clear()
         with mock.patch.object(realline, "compile", spy, create=True):
             eval_expr(parse_expr(_balanced(2 ** 14)), 1.0)
             evaluated = len(sources)
             bound = parse_expr(_balanced(2 ** 14))
             real_domain(bound, bound, window=(1.0, 2.0), grid_n=5)
-        # The decision compiles both bounds' pieces, then its loop.
-        assert evaluated > 10 and len(sources) - evaluated == 2 * evaluated - 1
+        # The decision names the lower bound's pieces in the order
+        # eval_expr did, so it reuses their code; it compiles only the
+        # upper bound's pieces, then its loop.
+        assert evaluated > 10 and len(sources) - evaluated == evaluated
         # A chunk holds its two operands' pieces, the node and def/return;
         # the loop holds what is left of each bound at its top level.
         assert max(s.count("\n") for s in sources) <= 2 * realline._CHUNK_LINES + 4
@@ -527,6 +531,7 @@ class TestCompilerExtremes:
             return compile(source, *args)
 
         e = make()
+        realline._compiled.cache_clear()
         with mock.patch.object(realline, "compile", spy, create=True):
             eval_expr(e, 1.0)
             real_domain(e, e, window=(1.0, 2.0), grid_n=5)
@@ -557,6 +562,74 @@ class TestCompilerExtremes:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+
+def _with_literals(e, change):
+    """A fresh copy of e whose every literal v is change(v)."""
+    match e:
+        case Num(value):
+            return Num(change(value))
+        case Neg(operand):
+            return Neg(_with_literals(operand, change))
+        case BinOp(op, left, right):
+            return BinOp(op, _with_literals(left, change),
+                         _with_literals(right, change))
+        case Pow(base, exponent):
+            return Pow(_with_literals(base, change), exponent)
+    return type(e)()
+
+
+def _compiling(run):
+    """The sources compile() is handed while run() runs."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    with mock.patch.object(realline, "compile", spy, create=True):
+        run()
+    return sources
+
+
+class TestCodeMemo:
+    @staticmethod
+    def _decide(e):
+        _outcome(eval_expr, e, 0.5)
+        return repr(real_domain(e, e, window=(-2.0, 3.0), grid_n=11))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_free_exprs)
+    def test_bounds_that_differ_in_their_numbers_compile_once(self, e):
+        changes = abs, lambda v: v / 3 - 1
+        realline._compiled.cache_clear()
+        reports = []
+        for change, compiles in zip(changes, (True, False)):
+            sources = _compiling(
+                lambda: reports.append(self._decide(_with_literals(e, change))))
+            assert bool(sources) == compiles
+        # What the memo answers is what a fresh compile gives.
+        for change, report in zip(changes, reports):
+            realline._compiled.cache_clear()
+            assert self._decide(_with_literals(e, change)) == report
+
+    def test_no_number_enters_the_source(self):
+        realline._compiled.cache_clear()
+        bound = parse_expr("x - 3.25")
+        sources = _compiling(lambda: (eval_expr(bound, 0.0),
+                                      real_domain(bound, parse_expr("x + 3.25"),
+                                                  window=(0.0, 10.0), grid_n=11)))
+        assert len(sources) == 2
+        assert not any("3.25" in source for source in sources)
+
+    def test_each_decision_keeps_its_own_numbers(self):
+        # One code object, two namespaces: the second decision does not
+        # see the first one's literals.
+        reports = [real_domain(parse_expr(f"x - {c}"), parse_expr(f"{c} + 1"),
+                               window=(0.0, 10.0), grid_n=101)
+                   for c in ("2", "5")]
+        assert [[(iv.lo, round(iv.hi, 6)) for iv in r.intervals]
+                for r in reports] == [[(0.0, 3.0)], [(0.0, 6.0)]]
 
 
 class TestResolveSelfReference:
@@ -833,6 +906,53 @@ class TestMonotonicityGuard:
         assert not realline._surely_increasing(*window, n)
         xs = realline._grid(window, n)
         assert xs[-2] > xs[-1]
+
+
+def _fresh_grid(lo, hi, n):
+    step = (hi - lo) / (n - 1)
+    return [*(lo + i * step for i in range(n - 1)), hi]
+
+
+class TestGridMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, -0.0, 0.0]),
+                              st.sampled_from([-0.0, 0.0, 2.5]),
+                              st.sampled_from([2, 5, 4001])),
+                    min_size=1, max_size=6))
+    @example([(-1.0, 0.0, 5), (-1.0, -0.0, 5), (-1.0, 0.0, 5)])
+    @example([(0.0, 2.5, 5), (-0.0, 2.5, 5)])
+    def test_a_kept_grid_is_a_fresh_build(self, windows):
+        for lo, hi, n in windows:
+            assume(lo < hi)
+            fresh = list(map(float.hex, _fresh_grid(lo, hi, n)))
+            for _ in range(2):  # built or kept, then surely kept
+                xs = realline._grid((lo, hi), n)
+                assert type(xs) is tuple
+                assert list(map(float.hex, xs)) == fresh
+
+    def test_a_bound_tells_the_kept_zeros_apart(self):
+        upper = parse_expr("1/x")
+        for hi, sign in ((0.0, 1.0), (-0.0, -1.0), (0.0, 1.0)):
+            report = real_domain(None, upper, window=(-1.0, hi), grid_n=5)
+            assert math.copysign(1.0, report.skipped[-1].x) == sign
+
+    def test_a_window_may_be_a_list(self, tmp_path):
+        lower, upper = parse_expr("x^2 - 3"), parse_expr("x + 2")
+        as_tuple = real_domain(lower, upper, window=(-4.0, 4.0), grid_n=9)
+        as_list = real_domain(lower, upper, window=[-4.0, 4.0], grid_n=9)
+        assert as_list.intervals == as_tuple.intervals
+        assert as_list.skipped == as_tuple.skipped
+        paths = tmp_path / "tuple.csv", tmp_path / "list.csv"
+        for path, report in zip(paths, (as_tuple, as_list)):
+            emit_plot_csv(str(path), report, None, lower, upper)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("window", [(0.0, 1e-322), (1.0, 1.000000000000001)])
+    def test_a_kept_narrow_grid_is_still_scanned(self, window):
+        realline._grid(window, DEFAULT_GRID_N)
+        for _ in range(2):
+            with pytest.raises(InvalidValue, match="too narrow"):
+                real_domain(parse_expr("1"), None, window=window)
 
 
 class TestIntervalTypes:
