@@ -17,6 +17,8 @@ contains it, so no finite argument can ever satisfy the class.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .errors import DfbError
 from .record import Record, set_field
 from .syntax import (
@@ -298,16 +300,39 @@ def _check_acyclic(decls: dict[str, ClassDecl],
 
 
 def substitute(expr: TypeExpr, mapping: dict[str, TypeExpr]) -> TypeExpr:
-    """Replace variables in ``expr`` simultaneously according to ``mapping``."""
-    if isinstance(expr, Var):
-        try:
+    """Replace variables in ``expr`` simultaneously according to ``mapping``.
+
+    Built without recursion, as ``render`` is: a superclass type composed
+    along a chain (as ``chain_meet`` keeps them) may nest far deeper than
+    any type written in the source. The walk keeps its own stack of
+    applications being rebuilt, each with the arguments rebuilt so far
+    and those still to come; arguments are met left to right, so the
+    first unbound variable raises, as in a recursive walk.
+    """
+    try:
+        if expr.__class__ is Var:
             return mapping[expr.name]
-        except KeyError:
-            raise UnboundVariable(expr.name) from None
-    if not expr.args:
-        return expr
-    return App.of_identifier(expr.name,
-                             tuple([substitute(a, mapping) for a in expr.args]))
+        if not expr.args:
+            return expr
+        stack = [(expr.name, [], iter(expr.args))]
+        while True:
+            name, built, rest = stack[-1]
+            for arg in rest:
+                if arg.__class__ is Var:
+                    built.append(mapping[arg.name])
+                elif arg.args:
+                    stack.append((arg.name, [], iter(arg.args)))
+                    break
+                else:
+                    built.append(arg)
+            else:  # every argument is rebuilt
+                stack.pop()
+                t = App.of_identifier(name, tuple(built))
+                if not stack:
+                    return t
+                stack[-1][1].append(t)
+    except KeyError as exc:
+        raise UnboundVariable(exc.args[0]) from None
 
 
 def mapping_for(table: ClassTable, t: App) -> tuple[ClassInfo, dict[str, TypeExpr]]:
@@ -328,6 +353,15 @@ def superclass_of(table: ClassTable, t: App) -> TypeExpr:
     if info.extends_clause is None:
         raise NoSuperclass(t.name)
     return substitute(info.extends_clause, mapping)
+
+
+def superclass_chain(table: ClassTable, t: TypeExpr) -> Iterator[TypeExpr]:
+    """Successive superclasses of ``t``, ending with Object; empty for Null."""
+    assert isinstance(t, App)
+    cur = t
+    while cur.name not in ("Object", "Null"):
+        cur = superclass_of(table, cur)
+        yield cur
 
 
 def bounds_of(table: ClassTable, t: App) -> list[tuple[TypeExpr, TypeExpr]]:
@@ -353,8 +387,9 @@ def chain_meet(table: ClassTable, name: str, head: str) -> TypeExpr | None:
     itself. Substituting arguments for ``P1..Pk`` in the answer gives the
     type the chain of ``name<args>`` reaches, because substitution
     composes and acyclic ``extends`` puts ``head`` on a chain at most
-    once. The first call for a pair walks the chain in one loop; the
-    answer is kept in ``table._meets``, one entry per pair of names.
+    once. The first call for a pair walks :func:`superclass_chain` up to
+    ``head``; the answer is kept in ``table._meets``, one entry per pair
+    of names.
     """
     key = (name, head)
     meets = table._meets
@@ -362,13 +397,7 @@ def chain_meet(table: ClassTable, name: str, head: str) -> TypeExpr | None:
         return meets[key]
     except KeyError:
         pass
-    info = table.info(name)
-    cur: TypeExpr = App(name, tuple(Var(p) for p in info.param_names))
-    found = None
-    while cur.name not in ("Object", "Null"):
-        cur = superclass_of(table, cur)
-        if cur.name == head:
-            found = cur
-            break
-    meets[key] = found
+    start = App(name, tuple(Var(p) for p in table.info(name).param_names))
+    found = meets[key] = next(
+        (s for s in superclass_chain(table, start) if s.name == head), None)
     return found

@@ -28,14 +28,14 @@ its thousands of samples cost one call in all and ``bytearray.find``
 reads off the runs; bisection evaluates a bound through ``eval_expr``,
 which compiles it once, on first use, into a function of x. Numbers
 enter that code as names, so it depends only on the bounds' shape and
-compiles once per shape; the last grid is kept for the next decision.
+compiles once per shape. Each grid is checked once, when it is built,
+and the last one is kept for the next decision.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from collections.abc import Callable
 from functools import cached_property, lru_cache
 from itertools import count, islice
@@ -511,8 +511,11 @@ _last_grid: tuple[tuple, tuple[float, ...]] = ((), ())
 def _grid(window: tuple[float, float], n: int) -> tuple[float, ...]:
     """The n samples lo + i * step of the window, the last one hi itself.
 
-    The last grid is kept, as a tuple no caller can change: real_domain
-    and emit_plot_csv ask for the same one, and bounds decided over one
+    A grid is checked once, when it is built: a step near the float
+    spacing can round two samples equal or the last one past hi, and
+    samples that do not strictly increase raise InvalidValue. The last
+    good grid is kept, as a tuple no caller can change: real_domain and
+    emit_plot_csv ask for the same one, and bounds decided over one
     window and grid ask for it again. The ends key it as floats, signs
     included, since -0.0 == 0.0 yet a bound can tell them apart."""
     global _last_grid
@@ -522,22 +525,11 @@ def _grid(window: tuple[float, float], n: int) -> tuple[float, ...]:
         step = (hi - lo) / (n - 1)
         xs = [lo + i * step for i in range(n)]
         xs[-1] = hi
+        if not all(map(lt, xs, islice(xs, 1, None))):
+            raise InvalidValue(f"window [{window[0]}, {window[1]}] is too "
+                               f"narrow for {n} samples")
         _last_grid = key, tuple(xs)
     return _last_grid[1]
-
-
-def _surely_increasing(lo: float, hi: float, n: int) -> bool:
-    """Whether the samples of _grid((lo, hi), n) must strictly increase.
-
-    Rounding is monotone, so samples never decrease; they fail only where
-    two are equal or the last computed one reaches hi. With u the ulp of
-    max(-lo, hi): hi - lo rounds by at most u, a normal step by 2**-53 of
-    itself (about u over n - 1 steps), i * step by 2u, lo + i * step by
-    u. A step over 8u keeps the samples apart and below hi; 64u leaves
-    room. A subnormal step rounds by half its own ulp, which n - 1 steps
-    can grow past any multiple of u."""
-    step = (hi - lo) / (n - 1)
-    return step >= sys.float_info.min and step > 64 * math.ulp(max(-lo, hi))
 
 
 def _run_edges(flags: bytearray) -> list[int]:
@@ -561,11 +553,10 @@ def real_domain(lower: Expr | None, upper: Expr | None,
     SelfReferenceInBody before any window, grid or tolerance error, and
     before the grid takes memory. A sample where a bound divides by zero
     is excluded and recorded; one that evaluates to NaN is skipped and
-    recorded likewise. Infinite bound values just compare. The grid is
-    decided in one generated pass, compiled once per shape of the
-    bounds, over the kept grid when the window and grid_n are the last
-    ones; each change of answer between neighbouring samples is then
-    bisected.
+    recorded likewise. Infinite bound values just compare. The grid,
+    checked by _grid when built and kept while the window and grid_n
+    stay, is decided in one generated pass, compiled once per shape of
+    the bounds; each change of answer between neighbours is bisected.
     """
     if lower is None and upper is None:
         raise ValueError("at least one bound is required")
@@ -612,10 +603,6 @@ def real_domain(lower: Expr | None, upper: Expr | None,
         return a / 2 + b / 2
 
     xs = _grid(window, grid_n)
-    if not (_surely_increasing(lo, hi, grid_n)
-            or all(map(lt, xs, islice(xs, 1, None)))):
-        raise InvalidValue(
-            f"window [{lo}, {hi}] is too narrow for {grid_n} samples")
     edges = _run_edges(decide(xs, skip))
     intervals: list[Interval] = []
     for i, j in zip(edges[::2], edges[1::2]):

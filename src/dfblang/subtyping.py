@@ -32,7 +32,6 @@ for inspection, the decision procedure itself never consults it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from itertools import product
 
 from .classtable import (
@@ -41,7 +40,7 @@ from .classtable import (
     mapping_for,
     require_well_formed,
     substitute,
-    superclass_of,
+    superclass_chain,
 )
 from .errors import InvalidValue
 from .record import Record, set_field
@@ -55,15 +54,6 @@ MAX_GRAPH_NODES = 100_000
 # the DOT text names each node once on its own line and again in its
 # edges, so its size and the time to sort and write it follow this total.
 MAX_GRAPH_CHARS = 2_000_000
-
-
-def superclass_chain(table: ClassTable, t: TypeExpr) -> Iterator[TypeExpr]:
-    """Successive superclasses of ``t``, ending with Object; empty for Null."""
-    assert isinstance(t, App)
-    cur = t
-    while cur.name not in ("Object", "Null"):
-        cur = superclass_of(table, cur)
-        yield cur
 
 
 def is_subtype(table: ClassTable, s: TypeExpr, t: TypeExpr) -> bool:

@@ -11,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dfblang.classtable import build_table
-from dfblang.subtyping import superclass_chain
+from dfblang.classtable import build_table, superclass_chain
 from dfblang.syntax import NULL, OBJECT, parse_program
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

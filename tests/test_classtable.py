@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -27,6 +28,7 @@ from dfblang.syntax import (
     NULL,
     OBJECT,
     Program,
+    TypeExpr,
     TypeParamDecl,
     Var,
     parse_program,
@@ -170,6 +172,25 @@ class TestSubstitute:
     def test_missing_mapping_entry(self):
         with pytest.raises(UnboundVariable):
             substitute(Var("T"), {})
+
+    def test_first_unbound_variable_from_the_left_raises(self):
+        expr = parse_type("C<D<U>, V>", scope=frozenset({"U", "V"}))
+        with pytest.raises(UnboundVariable) as info:
+            substitute(expr, {})
+        assert info.value.name == "U"
+
+    def test_types_deeper_than_the_recursion_limit(self):
+        depth = 5 * sys.getrecursionlimit()
+        expr: TypeExpr = Var("T")
+        for _ in range(depth):
+            expr = App("W", (expr,))
+        result = substitute(App("C", (expr, Var("T"))), {"T": NULL})
+        assert result.args[1] == NULL
+        inner = result.args[0]
+        for _ in range(depth):
+            assert inner.name == "W"
+            (inner,) = inner.args
+        assert inner == NULL
 
 
 class TestSuperclassOf:

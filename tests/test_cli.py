@@ -398,3 +398,20 @@ def test_graph_over_a_chain_of_deep_superclasses(tmp_path):
     assert result.returncode == 0, result.stderr[-500:]
     assert '"K4<Object>" -> "Object";' in result.stdout
     assert "Traceback" not in result.stderr
+
+
+def test_query_through_a_composed_deep_chain_is_answered(run_cli, tmp_path):
+    # Every written type nests under 200 levels, but the chain from C7 to
+    # C0 composes seven extends clauses into C0<W<...1330 levels...<T>>>,
+    # which the query's argument is then substituted into.
+    lines = ["class W<T> {}", "class C0<T> {}"]
+    for i in range(1, 8):
+        lines.append(f"class C{i}<T> extends C{i - 1}<{_nested('W', 190, 'T')}> {{}}")
+    lines.append("class K<T extends C0<Object>> {}")
+    path = tmp_path / "chain.dfb"
+    path.write_text("\n".join(lines) + "\n")
+    expected = ("invalid\n  C7<Object> is not a subtype of C0<Object> "
+                "(upper bound of T in K)\n")
+    assert run_cli("check", str(path), "K<C7<Object>>") == (1, expected, "")
+    result = run_cli_process("check", str(path), "K<C7<Object>>")
+    assert (result.returncode, result.stdout, result.stderr) == (1, expected, "")

@@ -10,8 +10,8 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import compress, islice
-from operator import ne
+from itertools import chain, compress, islice, pairwise
+from operator import lt, ne
 from unittest import mock
 
 import pytest
@@ -871,41 +871,57 @@ class TestRunEdges:
         assert realline._run_edges(flags) == _run_edges_reference(flags)
 
 
-# Windows [lo, lo + k (n - 1) ulp(lo)]: a k near 64 puts the step near
-# the guard's margin; the rest lie on either side of it.
+# Windows [lo, lo + k (n - 1) ulp(lo)]: a small k puts the step near the
+# float spacing, where rounding can make samples collide; the rest lie on
+# either side of it.
 _guard_windows = st.tuples(
     st.floats(-1e308, 1e308) | st.floats(-1e-306, 1e-306),
     st.integers(2, 64) | st.integers(2, realline.MAX_GRID_N),
     st.floats(0.5, 300.0) | st.floats(0.5, 1e6))
 
 
-class TestMonotonicityGuard:
+class TestGridCheck:
     @settings(max_examples=100, deadline=None)
     @given(_guard_windows)
     @example((0.0, 1_000_000, 64.6))  # a subnormal step
     @example((1.0, 4001, 64.5))
+    @example((1.0, 4001, 0.5))
     @example((-100.0, 4001, 2 ** 40))
-    def test_a_skipped_scan_would_have_accepted(self, draw):
+    def test_a_grid_is_refused_exactly_when_a_fresh_build_does_not_increase(
+            self, draw):
         lo, n, k = draw
         hi = lo + k * (n - 1) * math.ulp(lo)
         assume(lo < hi < math.inf and math.isfinite(hi - lo))
-        if realline._surely_increasing(lo, hi, n):
+        # A grid _grid returns is a fresh build (TestGridMemo); a refused
+        # one is built again lazily, up to its first pair out of order,
+        # with the last pair, where a subnormal step fails, read first.
+        try:
             xs = realline._grid((lo, hi), n)
-            assert all(a < b for a, b in zip(xs, islice(xs, 1, None)))
+        except InvalidValue as exc:
+            assert "too narrow" in str(exc)
+            step = (hi - lo) / (n - 1)
+            fresh = chain((lo + i * step for i in range(n - 1)), (hi,))
+            pairs = chain([(lo + (n - 2) * step, hi)], pairwise(fresh))
+            assert not all(a < b for a, b in pairs)
+        else:
+            assert len(xs) == n and all(map(lt, xs, islice(xs, 1, None)))
 
-    def test_the_guard_skips_ordinary_grids_and_scans_narrow_ones(self):
-        assert realline._surely_increasing(-100.0, 100.0, 4001)
-        assert realline._surely_increasing(-100.0, 100.0, realline.MAX_GRID_N)
-        assert not realline._surely_increasing(0.0, 1e-322, 4001)
-        assert not realline._surely_increasing(1.0, 1.000000000000001, 4001)
+    def test_ordinary_grids_pass_and_narrow_ones_are_refused(self):
+        realline._grid((-100.0, 100.0), DEFAULT_GRID_N)
+        for window in (0.0, 1e-322), (1.0, 1.000000000000001):
+            with pytest.raises(InvalidValue, match="too narrow"):
+                realline._grid(window, DEFAULT_GRID_N)
+
+    def test_a_subnormal_step_is_refused(self):
         # A subnormal step rounds by up to half its own ulp, which n - 1
         # steps turn into more than a step: the last computed sample
         # passes hi, though the step is over 64 ulps of hi.
         window, n = (0.0, 64599935 * 5e-324), 1_000_000
-        assert (window[1] - window[0]) / (n - 1) > 64 * math.ulp(window[1])
-        assert not realline._surely_increasing(*window, n)
-        xs = realline._grid(window, n)
-        assert xs[-2] > xs[-1]
+        step = (window[1] - window[0]) / (n - 1)
+        assert step > 64 * math.ulp(window[1])
+        assert window[0] + (n - 2) * step > window[1]
+        with pytest.raises(InvalidValue, match="too narrow for 1000000 samples"):
+            realline._grid(window, n)
 
 
 def _fresh_grid(lo, hi, n):
@@ -948,11 +964,14 @@ class TestGridMemo:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     @pytest.mark.parametrize("window", [(0.0, 1e-322), (1.0, 1.000000000000001)])
-    def test_a_kept_narrow_grid_is_still_scanned(self, window):
-        realline._grid(window, DEFAULT_GRID_N)
+    def test_a_narrow_window_is_refused_and_never_kept(self, window):
+        kept = realline._grid((-4.0, 4.0), DEFAULT_GRID_N)
         for _ in range(2):
             with pytest.raises(InvalidValue, match="too narrow"):
+                realline._grid(window, DEFAULT_GRID_N)
+            with pytest.raises(InvalidValue, match="too narrow"):
                 real_domain(parse_expr("1"), None, window=window)
+        assert realline._grid((-4.0, 4.0), DEFAULT_GRID_N) is kept
 
 
 class TestIntervalTypes:

@@ -15,6 +15,7 @@ from dfblang.classtable import (
     UnboundVariable,
     UnknownClass,
     build_table,
+    superclass_chain,
 )
 from dfblang import classtable, subtyping, validity
 from dfblang.errors import InvalidValue
@@ -24,7 +25,6 @@ from dfblang.subtyping import (
     ground_graph,
     is_subtype,
     require_well_formed,
-    superclass_chain,
 )
 from dfblang.syntax import (
     App,
